@@ -97,11 +97,15 @@ def cmd_fvec(args: argparse.Namespace) -> int:
 
 def _cubical_input(text: str) -> tuple[int, vec.FVector]:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("cubical input must be a JSON object with 'd' and 'f' or 'facets'")
     if "facets" in obj:
         complex_ = SimplicialComplex.from_json_obj(obj)
         fv = complex_.f_vector()
         return fv.dim + 1, fv
     d = obj["d"]
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"cubical dimension d must be a positive integer, got {d!r}")
     f = list(obj["f"])
     if len(f) != d:
         raise ValueError(f"cubical f-vector for d={d} needs {d} entries f_0..f_{d-1}")
@@ -350,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"polygv: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,6 @@ __all__ = [
     "SimplicialComplex",
     "simplex_complex",
     "simplex_boundary",
-    "face_enumeration",
 ]
 
 # A label is (kind rank, index); the rank encodes apex < c < t < u so tuples
@@ -235,6 +234,8 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
+        if not isinstance(obj, dict):
+            raise ValueError("complex JSON must be an object with a 'facets' list")
         facets = [[parse_label(s) for s in f] for f in obj["facets"]]
         return cls(facets)
 
@@ -271,8 +272,3 @@ def simplex_boundary(labels: Iterable[Label]) -> SimplicialComplex:
     """
     ls = tuple(labels)
     return SimplicialComplex(combinations(ls, len(ls) - 1))
-
-
-def face_enumeration(complex_: SimplicialComplex) -> FVector:
-    """f-vector of a complex by explicit downward closure."""
-    return complex_.f_vector()

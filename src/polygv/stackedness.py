@@ -16,9 +16,6 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-import networkx as nx
-from networkx.algorithms import isomorphism
-
 from .complexes import APEX, Label, SimplicialComplex, cvert, label_str, tvert
 from .constructions import block_decomposition
 from .qvectors import diamond_index_of_sign_vector
@@ -277,22 +274,35 @@ def incompatibility_witness(k: int, d: int, n: int) -> IncompatibilityWitness:
 # -- the cube-graph rigidity fact ---------------------------------------------
 
 
-def _cube_graph(n: int) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(range(1 << n))
-    for v in range(1 << n):
-        for i in range(n):
-            w = v ^ (1 << i)
-            if w > v:
-                g.add_edge(v, w)
-    return g
-
-
 def cube_subgraph_images(n: int, m: int) -> set[frozenset[int]]:
-    """Vertex sets of all subgraphs of the n-cube graph isomorphic to the m-cube graph."""
-    big, small = _cube_graph(n), _cube_graph(m)
-    matcher = isomorphism.GraphMatcher(big, small)
-    return {frozenset(mapping) for mapping in matcher.subgraph_monomorphisms_iter()}
+    """Vertex sets of all subgraphs of the n-cube graph isomorphic to the m-cube graph.
+
+    Backtracking over edge-preserving injections: the m-cube vertices are
+    placed in the order 0..2^m-1, each vertex after 0 on a neighbour of the
+    image of its lowest-numbered neighbour, and a candidate is kept only if
+    it is unused and adjacent to the images of all earlier neighbours.
+    """
+    size = 1 << m
+    earlier = [sorted(v ^ (1 << i) for i in range(m) if v >> i & 1) for v in range(size)]
+    image = [0] * size
+    images: set[frozenset[int]] = set()
+
+    def place(v: int) -> None:
+        if v == size:
+            images.add(frozenset(image))
+            return
+        if v == 0:
+            candidates = range(1 << n)
+        else:
+            anchor = image[earlier[v][0]]
+            candidates = (anchor ^ (1 << i) for i in range(n))
+        for w in candidates:
+            if w not in image[:v] and all((w ^ image[u]).bit_count() == 1 for u in earlier[v]):
+                image[v] = w
+                place(v + 1)
+
+    place(0)
+    return images
 
 
 def cube_graph_face_check(n: int, m: int) -> bool:

@@ -3,19 +3,15 @@
 Suites map to library modules: transforms (vector calculus), constructions
 (complex engine plus builders), qvectors, stackedness.  Each check returns
 a CheckResult; the CLI turns them into pass/fail lines and an exit code.
-Independent grid points may be evaluated in parallel, capped by the
-POLYGV_THREADS environment variable (0 or unset picks the CPU count).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import complexes as cx
 from . import constructions as cons
@@ -30,7 +26,6 @@ __all__ = [
     "FULL",
     "SUITES",
     "run_suite",
-    "grid_map",
 ]
 
 
@@ -104,30 +99,42 @@ GRIDS = {"small": SMALL, "full": FULL}
 
 
 def thread_count() -> int:
-    raw = os.environ.get("POLYGV_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        v = 0
-    if v <= 0:
-        return os.cpu_count() or 1
-    return v
+    """Threads the suites run on: always 1, every check is a plain loop.
 
-
-def grid_map(fn: Callable, items: Iterable) -> list:
-    """Order-preserving map over independent grid points, optionally threaded."""
-    items = list(items)
-    t = thread_count()
-    if t <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(t, len(items))) as ex:
-        return list(ex.map(fn, items))
+    ``perfbench/child.py`` reports this value as ``verify.threads``.
+    """
+    return 1
 
 
 def _result(name: str, failures: list[str], tested: int) -> CheckResult:
     if failures:
         return CheckResult(name, False, "; ".join(failures[:4]))
     return CheckResult(name, True, f"{tested} cases")
+
+
+class _Cases:
+    """The assertions of a named-example check: each one counts as a case."""
+
+    def __init__(self) -> None:
+        self.fails: list[str] = []
+        self.count = 0
+
+    def expect(self, cond: bool, what: str) -> None:
+        self.count += 1
+        if not cond:
+            self.fails.append(what)
+
+    def raises(self, fn: Callable[[], object], what: str) -> None:
+        """Expect ``fn()`` to raise ValueError; ``what`` names the failure if it does not."""
+        self.count += 1
+        try:
+            fn()
+        except ValueError:
+            return
+        self.fails.append(what)
+
+    def result(self, name: str) -> CheckResult:
+        return _result(name, self.fails, self.count)
 
 
 # --------------------------------------------------------------------------
@@ -169,11 +176,8 @@ def q_specs(k_max: int, d_max: int, n_max: int) -> list[qv.QSpec]:
 
 
 def check_transform_named_examples() -> CheckResult:
-    fails: list[str] = []
-
-    def expect(cond: bool, what: str) -> None:
-        if not cond:
-            fails.append(what)
+    cases = _Cases()
+    expect = cases.expect
 
     expect(vec.mchoose(0, 0) == 1, "mchoose(0,0)")
     expect(vec.mchoose(0, 3) == 0, "mchoose(0,3)")
@@ -209,12 +213,8 @@ def check_transform_named_examples() -> CheckResult:
         lambda: vec.f_to_hsc(vec.FVector(2, (1, 8, 12, 6)), 4),
         lambda: vec.mchoose(-1, 0),
     ):
-        try:
-            bad()
-            fails.append("expected ValueError")
-        except ValueError:
-            pass
-    return _result("transforms: named examples", fails, 20)
+        cases.raises(bad, "expected ValueError")
+    return cases.result("transforms: named examples")
 
 
 def check_sum_h_equals_top(bounds: GridBounds) -> CheckResult:
@@ -289,14 +289,17 @@ def check_resubstitution(bounds: GridBounds) -> CheckResult:
 
 def check_mchoose_recurrence(bounds: GridBounds) -> CheckResult:
     fails = []
+    tested = 0
     for m in range(1, 20):
         for i in range(1, 20):
+            tested += 1
             if vec.mchoose(m, i) != vec.mchoose(m - 1, i) + vec.mchoose(m, i - 1):
                 fails.append(f"recurrence fails at ({m},{i})")
     for k in range(1, 10):
+        tested += 1
         if vec.mchoose(0, k) != 0:
             fails.append(f"mchoose(0,{k})")
-    return _result("transforms: multichoose recurrence", fails, 361)
+    return _result("transforms: multichoose recurrence", fails, tested)
 
 
 # --------------------------------------------------------------------------
@@ -305,11 +308,8 @@ def check_mchoose_recurrence(bounds: GridBounds) -> CheckResult:
 
 
 def check_construction_named_examples() -> CheckResult:
-    fails: list[str] = []
-
-    def expect(cond: bool, what: str) -> None:
-        if not cond:
-            fails.append(what)
+    cases = _Cases()
+    expect = cases.expect
 
     pent = cons.cyclic_facets(2, 5)
     want = {frozenset({cx.cvert(a), cx.cvert(b)}) for a, b in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]}
@@ -327,11 +327,7 @@ def check_construction_named_examples() -> CheckResult:
     expect(not cons.cyclic_is_face({2, 4}, 2, 6), "{2,4} non-face of C(2,6)")
     expect(cons.cyclic_is_face({1, 6}, 2, 6), "{1,6} face of C(2,6)")
     expect(cons.cyclic_is_face({2, 3}, 2, 6), "{2,3} face of C(2,6)")
-    try:
-        cons.cyclic_is_face({1, 2, 3}, 2, 6)
-        fails.append("oversized subset accepted")
-    except ValueError:
-        pass
+    cases.raises(lambda: cons.cyclic_is_face({1, 2, 3}, 2, 6), "oversized subset accepted")
 
     mw = cons.mw_boundary(cons.MWSpec(2, 4, 7))
     expect(len(mw.vertices) == 7, "MW(2,4,7) vertex count")
@@ -382,24 +378,17 @@ def check_construction_named_examples() -> CheckResult:
     expect(len(square.facets) == 4 and square.dim == 1, "join of two 0-spheres")
     cone = cx.SimplicialComplex([[cx.plain(9)]]).join(pent)
     expect(len(cone.facets) == 5 and cone.dim == 2, "cone over the pentagon")
-    try:
-        pent.join(pent)
-        fails.append("join with shared vertices accepted")
-    except ValueError:
-        pass
+    cases.raises(lambda: pent.join(pent), "join with shared vertices accepted")
 
     cyc4 = cx.SimplicialComplex(
         [[cx.plain(1), cx.plain(2)], [cx.plain(2), cx.plain(3)], [cx.plain(3), cx.plain(4)], [cx.plain(4), cx.plain(1)]]
     )
     tri = cyc4.contract_edge(cx.plain(1), cx.plain(2))
     expect(len(tri.facets) == 3 and tri.dim == 1, "contract 4-cycle to triangle")
-    try:
-        cyc4.contract_edge(cx.plain(1), cx.plain(3))
-        fails.append("contraction of a non-edge accepted")
-    except ValueError:
-        pass
-
-    return _result("constructions: named examples", fails, 30)
+    cases.raises(
+        lambda: cyc4.contract_edge(cx.plain(1), cx.plain(3)), "contraction of a non-edge accepted"
+    )
+    return cases.result("constructions: named examples")
 
 
 def check_gale_crosscheck(bounds: GridBounds) -> CheckResult:
@@ -435,7 +424,7 @@ def _mw_spec_ok(spec: cons.MWSpec) -> list[str]:
 
 def check_mw_closed_form(bounds: GridBounds) -> CheckResult:
     specs = mw_specs(bounds.mw_K, bounds.mw_D, bounds.mw_N)
-    fails = [msg for msgs in grid_map(_mw_spec_ok, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in _mw_spec_ok(spec)]
     return _result("constructions: MW closed-form g and DS", fails, len(specs))
 
 
@@ -458,7 +447,7 @@ def check_mw_vertex_link(bounds: GridBounds) -> CheckResult:
             return [f"vertex-link reduction fails at (2k={2*k}, D={D}, N={N})"]
         return []
 
-    fails = [msg for msgs in grid_map(one, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in one(spec)]
     return _result("constructions: vertex link is the lower MW polytope", fails, len(specs))
 
 
@@ -480,7 +469,7 @@ def _lex_props_for(spec: cons.DiamondSpec) -> list[str]:
 
 def check_lex_properties(bounds: GridBounds) -> CheckResult:
     specs = diamond_specs(bounds.dia_k, bounds.dia_d, bounds.dia_n)
-    fails = [msg for msgs in grid_map(_lex_props_for, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in _lex_props_for(spec)]
     return _result("constructions: lexicographic subdivisions (both routes)", fails, len(specs))
 
 
@@ -509,7 +498,7 @@ def _diamond_relations_for(spec: cons.DiamondSpec) -> list[str]:
 
 def check_diamond_relations(bounds: GridBounds) -> CheckResult:
     specs = diamond_specs(bounds.dia_k, bounds.dia_d, bounds.dia_n)
-    fails = [msg for msgs in grid_map(_diamond_relations_for, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in _diamond_relations_for(spec)]
     return _result("constructions: diamond f-relation and closed-form g", fails, len(specs))
 
 
@@ -547,7 +536,7 @@ def _contraction_for(spec: cons.DiamondSpec) -> list[str]:
 
 def check_contraction(bounds: GridBounds) -> CheckResult:
     specs = diamond_specs(bounds.dia_k, bounds.dia_d, bounds.dia_n)
-    fails = [msg for msgs in grid_map(_contraction_for, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in _contraction_for(spec)]
     return _result("constructions: edge contraction onto the previous diamond", fails, len(specs))
 
 
@@ -601,11 +590,8 @@ def check_face_monotonicity(bounds: GridBounds) -> CheckResult:
 
 
 def check_q_named_examples() -> CheckResult:
-    fails: list[str] = []
-
-    def expect(cond: bool, what: str) -> None:
-        if not cond:
-            fails.append(what)
+    cases = _Cases()
+    expect = cases.expect
 
     hist = qv.vertex_figure_histogram(9, 6).as_dict()
     expect(hist == {1: 256, 2: 128, 3: 64, 4: 64}, "histogram (9,6)")
@@ -639,7 +625,7 @@ def check_q_named_examples() -> CheckResult:
 
     detector = qv.clbc_scan([("bad", vec.CubicalG(6, (32, 5, -1, 0)))])
     expect(not detector.ok and detector.violations[0] == ("bad", -1), "clbc detector")
-    return _result("qvectors: named examples", fails, 20)
+    return cases.result("qvectors: named examples")
 
 
 def check_q_routes(bounds: GridBounds) -> CheckResult:
@@ -665,7 +651,7 @@ def check_q_routes(bounds: GridBounds) -> CheckResult:
             fails.append(f"{spec}: full h^c disagrees with gc")
         return fails
 
-    fails = [msg for msgs in grid_map(one, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in one(spec)]
     return _result("qvectors: route agreement and cubical DS", fails, len(specs))
 
 
@@ -682,7 +668,7 @@ def check_q_route_c(bounds: GridBounds) -> CheckResult:
             return [f"{spec}: complex route disagrees with closed form"]
         return []
 
-    fails = [msg for msgs in grid_map(one, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in one(spec)]
     return _result("qvectors: explicit-complex route", fails, len(specs))
 
 
@@ -770,11 +756,8 @@ def _stack_specs(bounds: GridBounds) -> list[tuple[int, int, int, int]]:
 
 
 def check_stack_named_examples() -> CheckResult:
-    fails: list[str] = []
-
-    def expect(cond: bool, what: str) -> None:
-        if not cond:
-            fails.append(what)
+    cases = _Cases()
+    expect = cases.expect
 
     def cset(*idx: int) -> frozenset:
         return frozenset(cx.cvert(i) for i in idx)
@@ -838,12 +821,8 @@ def check_stack_named_examples() -> CheckResult:
     expect(w.face == cset(1, 2, 3) | tset, "witness face (1,6,9)")
     expect(w.face_type_in_a == st.FACET_II and w.face_type_in_b == st.UNCLASSIFIED, "witness tags")
     expect(st.incompatibility_witness(2, 8, 12) is not None, "witness (2,8,12)")
-    try:
-        st.incompatibility_witness(1, 6, 6)
-        fails.append("witness produced with n=d")
-    except ValueError:
-        pass
-    return _result("stackedness: named examples", fails, 14)
+    cases.raises(lambda: st.incompatibility_witness(1, 6, 6), "witness produced with n=d")
+    return cases.result("stackedness: named examples")
 
 
 def check_stack_missing(bounds: GridBounds) -> CheckResult:
@@ -861,7 +840,7 @@ def check_stack_missing(bounds: GridBounds) -> CheckResult:
             return [f"neighborliness violated at (k={k}, d={d}, n={n}, a={a})"]
         return []
 
-    fails = [msg for msgs in grid_map(one, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in one(spec)]
     return _result("stackedness: predicted vs brute missing faces", fails, len(specs))
 
 
@@ -892,7 +871,7 @@ def check_stack_facets(bounds: GridBounds) -> CheckResult:
                 break
         return fails
 
-    fails = [msg for msgs in grid_map(one, specs) for msg in msgs]
+    fails = [msg for spec in specs for msg in one(spec)]
     return _result("stackedness: predicted vs oracle stacked facets", fails, len(specs))
 
 

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polygv
 from polygv.cli import main
 
 
@@ -139,14 +143,46 @@ def test_verify_each_suite(capsys, suite):
     assert out.strip().splitlines()[-1].startswith("verify:")
 
 
-def test_verify_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("POLYGV_THREADS", "2")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "transforms", "--grid", "small")
-    assert code == 0
-    assert "failed=0" in out
-
-
 def test_ray_bad_range_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "ray", "--k", "1", "--d", "6", "--n-from", "9", "--n-to", "6")
     assert code == 2
     assert "polygv:" in err
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        (None, ["fvec", "--in", "{path}"]),
+        (None, ["q-report", "--k", "1", "--d", "6", "--n", "9", "-o", "{path}"]),
+        ("[1, 2]", ["fvec", "--in", "{path}"]),
+        ("[1, 2]", ["gvec", "--in", "{path}"]),
+        ("[1, 2]", ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
+        ('{"d": 0, "f": []}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
+    ],
+    ids=["fvec-in-dir", "q-report-out-dir", "fvec-list", "gvec-list", "gvec-cubical-list", "gvec-cubical-d0"],
+)
+def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "in.json"
+        path.write_text(text)
+    code, _, err = run_cli(capsys, *(arg.replace("{path}", str(path)) for arg in argv))
+    assert code == 2
+    assert err.startswith("polygv:")
+
+
+def test_cli_imports_only_the_standard_library():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import polygv.cli\n"
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'polygv'}))\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    src = str(Path(polygv.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines() == ["[]", "False"]

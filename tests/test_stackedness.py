@@ -166,10 +166,10 @@ def test_cube_graph_face_check(n, m):
     assert cube_graph_face_check(n, m) is True
 
 
-def test_cube_subgraph_images_are_exactly_faces():
-    images = cube_subgraph_images(3, 2)
-    assert len(images) == 6 == cube_face_count(3, 2)
-    assert len(cube_subgraph_images(4, 3)) == 8 == cube_face_count(4, 3)
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, n + 1)])
+def test_cube_subgraph_images_are_exactly_faces(n, m):
+    images = cube_subgraph_images(n, m)
+    assert len(images) == cube_face_count(n, m)
 
 
 def test_cube_graph_range_guard():

@@ -103,10 +103,14 @@ def _cubical_input(text: str) -> tuple[int, vec.FVector]:
         complex_ = SimplicialComplex.from_json_obj(obj)
         fv = complex_.f_vector()
         return fv.dim + 1, fv
-    d = obj["d"]
-    if not isinstance(d, int) or d < 1:
+    for key in ("d", "f"):
+        if key not in obj:
+            raise ValueError(f"cubical input needs {key!r} (or 'facets')")
+    d, f = obj["d"], obj["f"]
+    if type(d) is not int or d < 1:
         raise ValueError(f"cubical dimension d must be a positive integer, got {d!r}")
-    f = list(obj["f"])
+    if not isinstance(f, list) or not all(type(x) is int and x >= 0 for x in f):
+        raise ValueError(f"cubical 'f' must be a list of non-negative integers, got {f!r}")
     if len(f) != d:
         raise ValueError(f"cubical f-vector for d={d} needs {d} entries f_0..f_{d-1}")
     return d, vec.FVector(d - 1, (1, *f))

@@ -1,11 +1,14 @@
 """Simplicial complexes on labeled vertices.
 
 A complex is stored by its maximal faces (facets); the full face set is the
-downward closure, computed lazily and cached.  Vertex labels form a totally
-ordered tagged family: the diamond apex, cyclic-factor vertices c1, c2, ...,
-simplex-factor vertices t1, t2, ..., and plain vertices u1, u2, ... for
-generic complexes, in that order.  Complexes are immutable after
-construction; every operation returns a new value.
+downward closure, computed lazily and cached.  Faces are enumerated as int
+bitmasks over the sorted vertex list (bit i stands for ``vertices[i]``),
+one set of masks per face size; label frozensets are built only when a
+caller asks for ``faces``.  Vertex labels form a totally ordered tagged
+family: the diamond apex, cyclic-factor vertices c1, c2, ..., simplex-factor
+vertices t1, t2, ..., and plain vertices u1, u2, ... for generic complexes,
+in that order.  Complexes are immutable after construction; every operation
+returns a new value.
 """
 
 from __future__ import annotations
@@ -84,19 +87,21 @@ class SimplicialComplex:
     which is what a 0-simplex bounds.
     """
 
-    __slots__ = ("facets", "_faces", "_by_size", "_vertices")
+    __slots__ = ("facets", "_faces", "_levels", "_vertices", "_bit")
 
     def __init__(self, facets: Iterable[Iterable[Label]]):
         sets = {frozenset(f) for f in facets}
         if not sets:
             sets = {frozenset()}
-        maximal = [
-            f for f in sets if not any(f < g for g in sets)
-        ]
-        self.facets: frozenset[frozenset[Label]] = frozenset(maximal)
+        if len({len(f) for f in sets}) > 1:
+            # a set never strictly contains another of its own size, so
+            # only mixed sizes need the containment scan
+            sets = [f for f in sets if not any(f < g for g in sets)]
+        self.facets: frozenset[frozenset[Label]] = frozenset(sets)
         self._faces: frozenset[frozenset[Label]] | None = None
-        self._by_size: dict[int, int] | None = None
+        self._levels: list[set[int]] | None = None
         self._vertices: tuple[Label, ...] | None = None
+        self._bit: dict[Label, int] | None = None
 
     @property
     def vertices(self) -> tuple[Label, ...]:
@@ -107,6 +112,44 @@ class SimplicialComplex:
                 seen.update(f)
             self._vertices = tuple(sorted(seen))
         return self._vertices
+
+    def _bits(self) -> dict[Label, int]:
+        """Vertex -> its bit, 1 << (position in ``vertices``)."""
+        if self._bit is None:
+            self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        return self._bit
+
+    def _mask(self, face: Iterable[Label]) -> int | None:
+        """Bitmask of a vertex set, or None if a vertex is not in the complex."""
+        bit = self._bits()
+        mask = 0
+        for v in face:
+            b = bit.get(v)
+            if b is None:
+                return None
+            mask |= b
+        return mask
+
+    def _face_levels(self) -> list[set[int]]:
+        """Face masks by size: entry s holds the masks of the s-element faces.
+
+        Seeded with the facet masks; each level is then filled from the one
+        above by clearing one bit at a time.
+        """
+        if self._levels is None:
+            levels: list[set[int]] = [set() for _ in range(self.dim + 2)]
+            for f in self.facets:
+                levels[len(f)].add(self._mask(f))
+            for size in range(len(levels) - 1, 0, -1):
+                lower = levels[size - 1]
+                for b in levels[size]:
+                    rest = b
+                    while rest:
+                        low = rest & -rest
+                        lower.add(b ^ low)
+                        rest ^= low
+            self._levels = levels
+        return self._levels
 
     @property
     def dim(self) -> int:
@@ -120,11 +163,16 @@ class SimplicialComplex:
     def faces(self) -> frozenset[frozenset[Label]]:
         """Downward closure of the facets (includes the empty face)."""
         if self._faces is None:
-            out: set[frozenset[Label]] = set()
-            for f in self.facets:
-                t = tuple(f)
-                for r in range(len(t) + 1):
-                    out.update(map(frozenset, combinations(t, r)))
+            verts = self.vertices
+            out = []
+            for level in self._face_levels():
+                for b in level:
+                    face = []
+                    while b:
+                        low = b & -b
+                        face.append(verts[low.bit_length() - 1])
+                        b ^= low
+                    out.append(frozenset(face))
             self._faces = frozenset(out)
         return self._faces
 
@@ -133,16 +181,15 @@ class SimplicialComplex:
         return iter(sorted(self.faces, key=lambda f: (len(f), sorted(f))))
 
     def is_face(self, face: Iterable[Label]) -> bool:
-        return frozenset(face) in self.faces
+        mask = self._mask(face)
+        if mask is None:
+            return False
+        levels = self._face_levels()
+        size = mask.bit_count()
+        return size < len(levels) and mask in levels[size]
 
     def f_vector(self) -> FVector:
-        if self._by_size is None:
-            by_size: dict[int, int] = {}
-            for f in self.faces:
-                by_size[len(f)] = by_size.get(len(f), 0) + 1
-            self._by_size = by_size
-        d = self.dim
-        return FVector(d, tuple(self._by_size.get(s, 0) for s in range(d + 2)))
+        return FVector(self.dim, tuple(len(level) for level in self._face_levels()))
 
     def euler_characteristic(self) -> int:
         """Reduced-free Euler characteristic sum_i (-1)^i f_i."""
@@ -154,7 +201,7 @@ class SimplicialComplex:
     def link(self, face: Iterable[Label]) -> "SimplicialComplex":
         """Faces G disjoint from `face` with G union `face` in the complex."""
         fs = frozenset(face)
-        if fs not in self.faces:
+        if not self.is_face(fs):
             raise ValueError(f"{sorted(map(label_str, fs))} is not a face")
         return SimplicialComplex(f - fs for f in self.facets if fs <= f)
 
@@ -192,17 +239,27 @@ class SimplicialComplex:
         the contraction would not preserve the h-polynomial bookkeeping, so
         the operation refuses instead of silently producing a non-sphere.
         """
-        edge = frozenset((u, v))
-        if edge not in self.faces:
+        if not self.is_face((u, v)):
             raise ValueError(
                 f"{{{label_str(u)}, {label_str(v)}}} is not an edge of the complex"
             )
-        lk_edge = self.link(edge).faces
-        lk_both = self.link([u]).faces & self.link([v]).faces
-        if lk_edge != lk_both:
-            raise LinkConditionError(
-                f"link condition fails at edge {{{label_str(u)}, {label_str(v)}}}"
-            )
+        # lk_uv is always inside lk_u & lk_v; it misses a face exactly when
+        # some face G + u with v not in G has G + v as a face but not G + u + v
+        bit = self._bits()
+        bu, bv = bit[u], bit[v]
+        levels = self._face_levels()
+        for size, level in enumerate(levels):
+            upper = levels[size + 1] if size + 1 < len(levels) else ()
+            for b in level:
+                if (
+                    b & bu
+                    and not b & bv
+                    and ((b ^ bu) | bv) in level
+                    and (b | bv) not in upper
+                ):
+                    raise LinkConditionError(
+                        f"link condition fails at edge {{{label_str(u)}, {label_str(v)}}}"
+                    )
         new_facets = []
         for f in self.facets:
             if v in f:
@@ -236,8 +293,14 @@ class SimplicialComplex:
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
         if not isinstance(obj, dict):
             raise ValueError("complex JSON must be an object with a 'facets' list")
-        facets = [[parse_label(s) for s in f] for f in obj["facets"]]
-        return cls(facets)
+        if "facets" not in obj:
+            raise ValueError("simplicial input needs a 'facets' list")
+        facets = obj["facets"]
+        if not isinstance(facets, list) or not all(
+            isinstance(f, list) and all(isinstance(s, str) for s in f) for f in facets
+        ):
+            raise ValueError("'facets' must be a list of lists of vertex label strings")
+        return cls([parse_label(s) for s in f] for f in facets)
 
     @classmethod
     def from_json(cls, text: str) -> "SimplicialComplex":

@@ -17,7 +17,6 @@ MW polytope with one vertex fewer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -160,9 +159,6 @@ class BlockDecomposition:
     def all_blocks_even(self) -> bool:
         return all(not b.odd for b in self.blocks)
 
-    def all_inner_blocks_even(self) -> bool:
-        return all(not b.odd for b in self.blocks if b.inner(self.m))
-
 
 def block_decomposition(positions: Iterable[int], m: int) -> BlockDecomposition:
     pos = tuple(sorted(set(positions)))
@@ -185,11 +181,28 @@ def block_decomposition(positions: Iterable[int], m: int) -> BlockDecomposition:
 
 
 def _gale_facets_positions(K: int, m: int) -> list[tuple[int, ...]]:
-    """K-subsets of {1..m} whose inner blocks are all even (Gale evenness)."""
-    out = []
-    for S in combinations(range(1, m + 1), K):
-        if block_decomposition(S, m).all_inner_blocks_even():
-            out.append(S)
+    """K-subsets of {1..m} whose inner blocks are all even (Gale evenness).
+
+    Built block by block instead of filtering all C(m, K) subsets.  A first
+    block at 1 may have any length; every later block is inner and even,
+    except a block ending at m, which closes the set.  Longer blocks are
+    placed before shorter ones at the same start, so the subsets come out
+    in lexicographic order, as from combinations().
+    """
+    out: list[tuple[int, ...]] = []
+
+    def place(prefix: tuple[int, ...], start: int, left: int) -> None:
+        # `left` more positions, none below `start`; position start - 1 is unused
+        if left == 0:
+            out.append(prefix)
+            return
+        for s in range(start, m - left + 1):
+            for size in range(left - left % 2, 0, -2):
+                place(prefix + tuple(range(s, s + size)), s + size + 1, left - size)
+        out.append(prefix + tuple(range(m - left + 1, m + 1)))
+
+    for first in range(K, -1, -1):
+        place(tuple(range(1, first + 1)), first + 2, K - first)
     return out
 
 

@@ -147,16 +147,15 @@ def brute_missing_faces(
     Scans sizes in increasing order and prunes supersets of non-faces
     already found, so the output is exactly the minimal ones.
     """
-    support = sorted(complex_.vertices)
+    support = complex_.vertices
     if max_size > len(support):
         raise ValueError(f"max_size {max_size} exceeds vertex count {len(support)}")
-    faces = complex_.faces
     found: list[frozenset[Label]] = []
     for size in range(1, max_size + 1):
         for S in combinations(support, size):
-            fs = frozenset(S)
-            if fs in faces:
+            if complex_.is_face(S):
                 continue
+            fs = frozenset(S)
             if any(miss < fs for miss in found):
                 continue
             found.append(fs)
@@ -190,20 +189,15 @@ def oracle_stacked_facets(
     The criterion is literal: every subset of size <= k+2 must be a face of
     the boundary complex.
     """
-    support = sorted(complex_.vertices)
-    faces = complex_.faces
+    support = complex_.vertices
+    # face masks of size 1..k+2; bit i stands for support[i]
+    small = set().union(*complex_._face_levels()[1 : k + 3])
     out = []
-    for S in combinations(support, d):
-        ok = True
-        for size in range(1, k + 3):
-            for sub in combinations(S, size):
-                if frozenset(sub) not in faces:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(frozenset(S))
+    for S in combinations([1 << i for i in range(len(support))], d):
+        if all(
+            sum(sub) in small for size in range(1, k + 3) for sub in combinations(S, size)
+        ):
+            out.append(frozenset(support[b.bit_length() - 1] for b in S))
     return sorted(out, key=lambda f: sorted(f))
 
 

@@ -158,8 +158,16 @@ def test_ray_bad_range_is_exit_2(capsys):
         ("[1, 2]", ["gvec", "--in", "{path}"]),
         ("[1, 2]", ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
         ('{"d": 0, "f": []}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
+        ('{"facets": [1]}', ["fvec", "--in", "{path}"]),
+        ('{"facets": [1]}', ["gvec", "--in", "{path}"]),
+        ('{"d": 3, "f": ["a", "b", "c"]}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
+        ('{"d": 1, "f": [true]}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
     ],
-    ids=["fvec-in-dir", "q-report-out-dir", "fvec-list", "gvec-list", "gvec-cubical-list", "gvec-cubical-d0"],
+    ids=[
+        "fvec-in-dir", "q-report-out-dir", "fvec-list", "gvec-list", "gvec-cubical-list",
+        "gvec-cubical-d0", "fvec-int-facet", "gvec-int-facet", "gvec-cubical-str-f",
+        "gvec-cubical-bool-f",
+    ],
 )
 def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
     path = tmp_path
@@ -169,6 +177,23 @@ def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
     code, _, err = run_cli(capsys, *(arg.replace("{path}", str(path)) for arg in argv))
     assert code == 2
     assert err.startswith("polygv:")
+
+
+@pytest.mark.parametrize(
+    "text,kind,want",
+    [
+        ('{"d": 3, "f": [8, 12, 6]}', "simplicial", "simplicial input needs a 'facets' list"),
+        ('{"d": 3}', "cubical-from-f", "cubical input needs 'f' (or 'facets')"),
+        ('{"f": [8, 12, 6]}', "cubical-from-f", "cubical input needs 'd' (or 'facets')"),
+    ],
+    ids=["simplicial-no-facets", "cubical-no-f", "cubical-no-d"],
+)
+def test_missing_key_is_named(capsys, tmp_path, text, kind, want):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "gvec", "--in", str(path), "--kind", kind)
+    assert code == 2
+    assert err == f"polygv: {want}\n"
 
 
 def test_cli_imports_only_the_standard_library():

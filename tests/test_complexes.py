@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings, strategies as stn
+from hypothesis import assume, given, settings, strategies as stn
 
 from polygv.complexes import (
     APEX,
@@ -173,3 +175,58 @@ def test_json_round_trip_and_determinism():
 def test_relabel():
     shifted = FOUR_CYCLE.relabel({plain(i): plain(i + 10) for i in range(1, 5)})
     assert {label_str(v) for v in shifted.vertices} == {"u11", "u12", "u13", "u14"}
+
+
+# -- the bitmask kernel against a frozenset closure written out here ----------
+
+FACET_LISTS = stn.lists(stn.sets(stn.integers(1, 8), max_size=6), min_size=1, max_size=8)
+
+
+def closure_of(facets):
+    out = set()
+    for f in facets:
+        for r in range(len(f) + 1):
+            out.update(map(frozenset, combinations(f, r)))
+    return out
+
+
+def link_of(closure, face):
+    return {g - face for g in closure if face <= g}
+
+
+@settings(max_examples=150)
+@given(FACET_LISTS)
+def test_kernel_matches_brute_closure(raw):
+    facets = [frozenset(plain(i) for i in f) for f in raw]
+    c = SimplicialComplex(facets)
+    closure = closure_of(facets)
+    assert c.facets == {f for f in closure if not any(f < g for g in closure)}
+    assert c.faces == closure
+    top = max(len(f) for f in closure)
+    assert c.f_vector().counts == tuple(
+        sum(1 for f in closure if len(f) == s) for s in range(top + 1)
+    )
+    labels = [plain(i) for i in range(1, 10)]  # u9 is never a vertex
+    for r in range(len(labels) + 1):
+        for S in combinations(labels, r):
+            assert c.is_face(S) == (frozenset(S) in closure), S
+
+
+@settings(max_examples=150)
+@given(FACET_LISTS, stn.data())
+def test_link_condition_matches_definition(raw, data):
+    facets = [frozenset(plain(i) for i in f) for f in raw]
+    closure = closure_of(facets)
+    edges = sorted(sorted(f) for f in closure if len(f) == 2)
+    assume(edges)
+    u, v = data.draw(stn.sampled_from(edges))
+    if data.draw(stn.booleans()):
+        u, v = v, u
+    c = SimplicialComplex(facets)
+    edge = frozenset((u, v))
+    if link_of(closure, edge) == link_of(closure, {u}) & link_of(closure, {v}):
+        contracted = c.contract_edge(u, v)
+        assert v not in contracted.vertices
+    else:
+        with pytest.raises(LinkConditionError):
+            c.contract_edge(u, v)

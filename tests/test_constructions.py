@@ -7,6 +7,7 @@ from polygv.constructions import (
     CyclicSpec,
     DiamondSpec,
     MWSpec,
+    _gale_facets_positions,
     ball_boundary,
     block_decomposition,
     cyclic_facets,
@@ -19,7 +20,7 @@ from polygv.constructions import (
     mw_boundary,
     mw_g_closed,
 )
-from polygv.vectors import check_simplicial_DS, f_to_h, h_to_g
+from polygv.vectors import check_simplicial_DS, f_to_h, h_to_g, mchoose
 
 
 def cface(*idx):
@@ -43,6 +44,23 @@ def test_c47_counts():
 
 def test_c46_contains_1245():
     assert cface(1, 2, 4, 5) in cyclic_facets(4, 6).facets
+
+
+def test_gale_generator_matches_subset_filter():
+    for m in range(2, 15):
+        for K in range(1, m):
+            want = [
+                S
+                for S in combinations(range(1, m + 1), K)
+                if block_decomposition(S, m).inner_odd_count() == 0
+            ]
+            assert _gale_facets_positions(K, m) == want, (K, m)
+
+
+def test_cyclic_stretch_is_neighborly():
+    K, m = 10, 20
+    g = h_to_g(f_to_h(cyclic_facets(K, m).f_vector(), K))
+    assert g.entries == tuple(mchoose(m - K - 1, i) for i in range(K // 2 + 1))
 
 
 def test_spec_validation():

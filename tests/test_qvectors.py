@@ -98,6 +98,11 @@ def test_route_c_small():
         assert gsc_q_from_complexes(spec) == gsc_q_closed(spec)
 
 
+def test_route_c_stretch():
+    spec = QSpec(3, 12, 16)
+    assert gsc_q_from_complexes(spec) == gsc_q_closed(spec)
+
+
 def test_full_hsc_pipeline():
     for spec in [QSpec(1, 6, 9), QSpec(2, 6, 10), QSpec(1, 7, 11), QSpec(2, 9, 12)]:
         hsc = full_hsc_q(spec)

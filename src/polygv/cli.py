@@ -361,6 +361,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"polygv: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # a library cross-check failed (routes disagree, or no witness):
+        # a verification failure, not bad input
+        print(f"polygv: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -87,17 +87,20 @@ class SimplicialComplex:
     which is what a 0-simplex bounds.
     """
 
-    __slots__ = ("facets", "_faces", "_levels", "_vertices", "_bit")
+    __slots__ = ("facets", "dim", "_faces", "_levels", "_vertices", "_bit")
 
     def __init__(self, facets: Iterable[Iterable[Label]]):
         sets = {frozenset(f) for f in facets}
         if not sets:
             sets = {frozenset()}
-        if len({len(f) for f in sets}) > 1:
-            # a set never strictly contains another of its own size, so
-            # only mixed sizes need the containment scan
-            sets = [f for f in sets if not any(f < g for g in sets)]
+        sizes = {len(f) for f in sets}
+        top = max(sizes)
+        if len(sizes) > 1:
+            # a set only ever lies strictly inside a larger one, so sets of
+            # the top size are maximal and only the smaller ones are scanned
+            sets = [f for f in sets if len(f) == top or not any(f < g for g in sets)]
         self.facets: frozenset[frozenset[Label]] = frozenset(sets)
+        self.dim: int = top - 1
         self._faces: frozenset[frozenset[Label]] | None = None
         self._levels: list[set[int]] | None = None
         self._vertices: tuple[Label, ...] | None = None
@@ -151,29 +154,27 @@ class SimplicialComplex:
             self._levels = levels
         return self._levels
 
-    @property
-    def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
-
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.facets}
         return len(sizes) == 1
+
+    def _labels(self, mask: int) -> frozenset[Label]:
+        """The vertex set of a bitmask."""
+        verts = self.vertices
+        face = []
+        while mask:
+            low = mask & -mask
+            face.append(verts[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(face)
 
     @property
     def faces(self) -> frozenset[frozenset[Label]]:
         """Downward closure of the facets (includes the empty face)."""
         if self._faces is None:
-            verts = self.vertices
-            out = []
-            for level in self._face_levels():
-                for b in level:
-                    face = []
-                    while b:
-                        low = b & -b
-                        face.append(verts[low.bit_length() - 1])
-                        b ^= low
-                    out.append(frozenset(face))
-            self._faces = frozenset(out)
+            self._faces = frozenset(
+                self._labels(b) for level in self._face_levels() for b in level
+            )
         return self._faces
 
     def faces_sorted(self) -> Iterator[frozenset[Label]]:
@@ -201,16 +202,24 @@ class SimplicialComplex:
     def link(self, face: Iterable[Label]) -> "SimplicialComplex":
         """Faces G disjoint from `face` with G union `face` in the complex."""
         fs = frozenset(face)
-        if not self.is_face(fs):
+        # `face` is a face exactly when some facet contains it
+        rest = [f - fs for f in self.facets if fs <= f]
+        if not rest:
             raise ValueError(f"{sorted(map(label_str, fs))} is not a face")
-        return SimplicialComplex(f - fs for f in self.facets if fs <= f)
+        return SimplicialComplex(rest)
 
     def star(self, face: Iterable[Label]) -> list[frozenset[Label]]:
         """The open star: all faces containing `face`, sorted."""
         fs = frozenset(face)
-        if fs not in self.faces:
+        if not self.is_face(fs):
             raise ValueError(f"{sorted(map(label_str, fs))} is not a face")
-        hits = [g for g in self.faces if fs <= g]
+        mask = self._mask(fs)
+        hits = [
+            self._labels(b)
+            for level in self._face_levels()[len(fs):]
+            for b in level
+            if b & mask == mask
+        ]
         return sorted(hits, key=lambda g: (len(g), sorted(g)))
 
     def antistar(self, face: Iterable[Label]) -> "SimplicialComplex":

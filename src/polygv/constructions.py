@@ -17,6 +17,7 @@ MW polytope with one vertex fewer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -180,14 +181,16 @@ def block_decomposition(positions: Iterable[int], m: int) -> BlockDecomposition:
     return BlockDecomposition(pos, m, tuple(blocks))
 
 
-def _gale_facets_positions(K: int, m: int) -> list[tuple[int, ...]]:
+@cache
+def _gale_facets_positions(K: int, m: int) -> tuple[tuple[int, ...], ...]:
     """K-subsets of {1..m} whose inner blocks are all even (Gale evenness).
 
     Built block by block instead of filtering all C(m, K) subsets.  A first
     block at 1 may have any length; every later block is inner and even,
     except a block ending at m, which closes the set.  Longer blocks are
     placed before shorter ones at the same start, so the subsets come out
-    in lexicographic order, as from combinations().
+    in lexicographic order, as from combinations().  Cached: the value is
+    plain ints, and the builders ask for the same few (K, m) again and again.
     """
     out: list[tuple[int, ...]] = []
 
@@ -203,7 +206,7 @@ def _gale_facets_positions(K: int, m: int) -> list[tuple[int, ...]]:
 
     for first in range(K, -1, -1):
         place(tuple(range(1, first + 1)), first + 2, K - first)
-    return out
+    return tuple(out)
 
 
 def _cyclic_facets_on(K: int, labels: Sequence[Label]) -> list[frozenset[Label]]:
@@ -225,13 +228,26 @@ def cyclic_is_face(subset: Iterable[int], K: int, m: int) -> bool:
 
     A subset of i <= K vertices spans a face exactly when it has at most
     K - i inner odd blocks.  Agrees with membership in the downward closure
-    of the Gale facets.
+    of the Gale facets.  The blocks are counted in one pass over the sorted
+    positions, without building a ``BlockDecomposition``.
     """
-    dec = block_decomposition(subset, m)
-    i = len(dec.positions)
+    pos = sorted(set(subset))
+    if pos and not (1 <= pos[0] and pos[-1] <= m):
+        raise ValueError(f"positions {tuple(pos)} outside 1..{m}")
+    i = len(pos)
     if i > K:
         raise ValueError(f"subset of size {i} exceeds K={K}")
-    return dec.inner_odd_count() <= K - i
+    inner_odd = 0
+    start = 0
+    for j, p in enumerate(pos):
+        if j + 1 < i and pos[j + 1] == p + 1:
+            continue
+        # p ends the block that began at pos[start]
+        s = pos[start]
+        if s > 1 and p < m and (p - s) % 2 == 0:
+            inner_odd += 1
+        start = j + 1
+    return inner_odd <= K - i
 
 
 def _mw_facets(

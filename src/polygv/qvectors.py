@@ -9,6 +9,7 @@ that must agree exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -110,13 +111,12 @@ def vertex_figure_histogram_brute(n: int, d: int) -> VertexFigureHistogram:
         raise ValueError("brute histogram limited to n <= 20")
     tally: dict[int, int] = {}
     cap = n - d + 1
-    for bits in range(1 << n):
-        a = cap
-        for i in range(n):
-            if bits >> i & 1:
-                a = min(i + 1, cap)
-                break
-        tally[a] = tally.get(a, 0) + 1
+    # bit i is coordinate i + 1, so the lowest set bit gives the first plus
+    # (0 when there is none); the cap folds in once per position, not per vector
+    firsts = Counter((bits & -bits).bit_length() for bits in range(1 << n))
+    for first, count in firsts.items():
+        a = min(first or cap, cap)
+        tally[a] = tally.get(a, 0) + count
     return VertexFigureHistogram(n, d, tuple(sorted(tally.items())))
 
 

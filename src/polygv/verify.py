@@ -396,11 +396,11 @@ def check_gale_crosscheck(bounds: GridBounds) -> CheckResult:
     tested = 0
     for K in range(1, bounds.gale_K + 1):
         for m in range(K + 1, bounds.gale_m + 1):
-            closure = cons.cyclic_facets(K, m).faces
+            cyclic = cons.cyclic_facets(K, m)
             for size in range(0, K + 1):
                 for S in combinations(range(1, m + 1), size):
                     tested += 1
-                    in_closure = frozenset(cx.cvert(i) for i in S) in closure
+                    in_closure = cyclic.is_face(cx.cvert(i) for i in S)
                     if in_closure != cons.cyclic_is_face(S, K, m):
                         fails.append(f"criterion mismatch K={K} m={m} S={S}")
     return _result("constructions: Gale face criterion vs downward closure", fails, tested)

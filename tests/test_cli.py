@@ -196,6 +196,24 @@ def test_missing_key_is_named(capsys, tmp_path, text, kind, want):
     assert err == f"polygv: {want}\n"
 
 
+def test_route_disagreement_is_exit_1_without_traceback(capsys, monkeypatch):
+    import polygv.qvectors as qv
+    from polygv.vectors import CubicalG
+
+    closed = qv.gc_q_closed
+
+    def off_by_one(spec):
+        gc = closed(spec)
+        return CubicalG(gc.d, (gc.entries[0] + 1,) + gc.entries[1:])
+
+    monkeypatch.setattr(qv, "gc_q_closed", off_by_one)
+    code, out, err = run_cli(capsys, "ray", "--k", "1", "--d", "6", "--n-from", "7", "--n-to", "8")
+    assert code == 1
+    assert err.startswith("polygv: gc routes disagree")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in out + err
+
+
 def test_cli_imports_only_the_standard_library():
     probe = (
         "import sys\n"

@@ -15,6 +15,7 @@ from polygv.complexes import (
     simplex_complex,
     tvert,
 )
+from polygv.constructions import DiamondSpec, diamond_boundary, mw_boundary
 
 
 def cyc(*pairs):
@@ -63,8 +64,17 @@ def test_link_of_vertex_in_tetra():
 
 
 def test_link_requires_face():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\['u1', 'u3'\] is not a face$"):
         FOUR_CYCLE.link([plain(1), plain(3)])
+    with pytest.raises(ValueError, match=r"^\['u9'\] is not a face$"):
+        FOUR_CYCLE.link([plain(9)])
+
+
+def test_link_builds_no_closure():
+    spec = DiamondSpec(1, 6, 9, 2)
+    dia = diamond_boundary(spec)
+    assert dia.link([APEX]) == mw_boundary(spec.base)
+    assert dia._levels is None and dia._faces is None
 
 
 def test_star_is_face_family():
@@ -230,3 +240,25 @@ def test_link_condition_matches_definition(raw, data):
     else:
         with pytest.raises(LinkConditionError):
             c.contract_edge(u, v)
+
+
+@settings(max_examples=150)
+@given(FACET_LISTS, stn.data())
+def test_link_and_star_match_brute_closure(raw, data):
+    facets = [frozenset(plain(i) for i in f) for f in raw]
+    closure = closure_of(facets)
+    c = SimplicialComplex(facets)
+    if data.draw(stn.booleans()):
+        face = data.draw(stn.sampled_from(sorted(closure, key=lambda g: (len(g), sorted(g)))))
+    else:  # mostly non-faces; u9 is never a vertex
+        face = frozenset(plain(i) for i in data.draw(stn.sets(stn.integers(1, 9), max_size=4)))
+    if face in closure:
+        assert c.link(face).faces == {g - face for g in closure if face <= g}
+        assert c.star(face) == sorted(
+            (g for g in closure if face <= g), key=lambda g: (len(g), sorted(g))
+        )
+    else:
+        with pytest.raises(ValueError):
+            c.link(face)
+        with pytest.raises(ValueError):
+            c.star(face)

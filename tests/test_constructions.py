@@ -54,7 +54,7 @@ def test_gale_generator_matches_subset_filter():
                 for S in combinations(range(1, m + 1), K)
                 if block_decomposition(S, m).inner_odd_count() == 0
             ]
-            assert _gale_facets_positions(K, m) == want, (K, m)
+            assert list(_gale_facets_positions(K, m)) == want, (K, m)
 
 
 def test_cyclic_stretch_is_neighborly():
@@ -103,6 +103,24 @@ def test_cyclic_is_face_examples(subset, K, m, want):
 def test_cyclic_is_face_rejects_oversized():
     with pytest.raises(ValueError):
         cyclic_is_face({1, 2, 3}, 2, 6)
+
+
+def test_cyclic_is_face_matches_block_rule():
+    for m in range(2, 11):
+        for K in range(1, m):
+            for size in range(K + 1):
+                for S in combinations(range(1, m + 1), size):
+                    want = block_decomposition(S, m).inner_odd_count() <= K - size
+                    assert cyclic_is_face(S, K, m) is want, (K, m, S)
+
+
+def test_cyclic_is_face_rejects_positions_outside_range():
+    for bad in ({0, 2}, {2, 7}):
+        with pytest.raises(ValueError) as want:
+            block_decomposition(bad, 6)
+        with pytest.raises(ValueError) as got:
+            cyclic_is_face(bad, 2, 6)
+        assert str(got.value) == str(want.value)
 
 
 def test_gale_criterion_matches_downward_closure():

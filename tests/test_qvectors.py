@@ -43,11 +43,11 @@ def test_histogram_degenerate():
     assert vertex_figure_histogram(6, 6).as_dict() == {1: 64}
 
 
-@pytest.mark.parametrize("n,d", [(6, 6), (9, 6), (12, 8), (10, 4)])
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 13) for d in range(1, n + 1)])
 def test_histogram_matches_enumeration(n, d):
     closed = vertex_figure_histogram(n, d)
     assert closed.total() == 2**n
-    assert vertex_figure_histogram_brute(n, d).counts == closed.counts
+    assert vertex_figure_histogram_brute(n, d) == closed
 
 
 def test_sign_vector_index():

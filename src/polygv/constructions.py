@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import (
     APEX,
@@ -43,9 +44,11 @@ __all__ = [
     "mw_boundary",
     "mw_g_closed",
     "lex_subdivision",
+    "lex_subdivisions",
     "lex_mw_via_cyclic",
     "lex_range",
     "diamond_boundary",
+    "diamonds",
     "diamond_g_closed",
     "ball_boundary",
 ]
@@ -315,30 +318,55 @@ def lex_range(spec: CyclicSpec | MWSpec) -> int:
     return spec.N - spec.D
 
 
-def lex_subdivision(spec: CyclicSpec | MWSpec, a: int) -> SimplicialComplex:
-    """The a-th lexicographic subdivision: push v_1..v_{a-1}, then pull v_a.
+def _push_chain(
+    spec: CyclicSpec | MWSpec,
+) -> Iterator[tuple[int, Label, list[frozenset[Label]], set[frozenset[Label]]]]:
+    """One push chain: (a, v_a, pyramids of the pushes so far, current facets).
 
     Each push on the current polytope P with first vertex v and sub-polytope
     P' = P minus v contributes the pyramids from v over the facets of P'
-    that are not facets of P, and recurses into P'.  The final pull on v_a
-    contributes the pyramids from v_a over the facets of the current
-    polytope that avoid v_a.  On a simplex the pull degenerates to the
-    simplex itself, which ends the recursion at the top of the range.
+    that are not facets of P, and moves on to P'.  The yielded list grows in
+    place, so a consumer uses it before advancing the chain.
+    """
+    amax = lex_range(spec)
+    order = _pushable_order(spec)
+    pushed: list[frozenset[Label]] = []
+    cur = _suffix_facets(spec, 0)
+    for a in range(1, amax + 1):
+        v = order[a - 1]
+        yield a, v, pushed, cur
+        if a < amax:
+            nxt = _suffix_facets(spec, a)
+            pushed.extend(F | {v} for F in nxt - cur)
+            cur = nxt
+
+
+def _pull(
+    v: Label, pushed: list[frozenset[Label]], cur: set[frozenset[Label]]
+) -> SimplicialComplex:
+    """Close the chain with a pull on v: the pyramids from v over the facets avoiding v."""
+    return SimplicialComplex(pushed + [F | {v} for F in cur if v not in F])
+
+
+def lex_subdivisions(spec: CyclicSpec | MWSpec) -> Iterator[tuple[int, SimplicialComplex]]:
+    """Yield (a, Lex_a) for a = 1..lex_range(spec), all from one push chain."""
+    for a, v, pushed, cur in _push_chain(spec):
+        yield a, _pull(v, pushed, cur)
+
+
+def lex_subdivision(spec: CyclicSpec | MWSpec, a: int) -> SimplicialComplex:
+    """The a-th lexicographic subdivision: push v_1..v_{a-1}, then pull v_a.
+
+    The final pull on v_a contributes the pyramids from v_a over the facets
+    of the current polytope that avoid v_a.  On a simplex the pull
+    degenerates to the simplex itself, which ends the recursion at the top
+    of the range.  Only Lex_a is built, not the subdivisions before it.
     """
     amax = lex_range(spec)
     if not 1 <= a <= amax:
         raise ValueError(f"lex index a={a} outside 1..{amax}")
-    order = _pushable_order(spec)
-    cells: list[frozenset[Label]] = []
-    cur = _suffix_facets(spec, 0)
-    for s in range(a - 1):
-        nxt = _suffix_facets(spec, s + 1)
-        v = order[s]
-        cells.extend(F | {v} for F in nxt - cur)
-        cur = nxt
-    v = order[a - 1]
-    cells.extend(F | {v} for F in cur if v not in F)
-    return SimplicialComplex(cells)
+    _, v, pushed, cur = next(islice(_push_chain(spec), a - 1, None))
+    return _pull(v, pushed, cur)
 
 
 def lex_mw_via_cyclic(spec: MWSpec, a: int) -> SimplicialComplex:
@@ -363,6 +391,13 @@ def lex_mw_via_cyclic(spec: MWSpec, a: int) -> SimplicialComplex:
 # -- diamonds ---------------------------------------------------------------
 
 
+def _cap(ball: SimplicialComplex, rim: SimplicialComplex) -> SimplicialComplex:
+    """The ball's facets plus the apex cone over its boundary `rim`."""
+    facets = set(ball.facets)
+    facets.update(f | {APEX} for f in rim.facets)
+    return SimplicialComplex(facets)
+
+
 def diamond_boundary(spec: DiamondSpec) -> SimplicialComplex:
     """Boundary of the a-th lexicographic diamond: Lex_a(P) capped by the apex cone.
 
@@ -370,11 +405,21 @@ def diamond_boundary(spec: DiamondSpec) -> SimplicialComplex:
     the base boundary; a pure (d-2)-sphere on n vertices.
     """
     base = spec.base
-    ball = lex_subdivision(base, spec.a)
+    return _cap(lex_subdivision(base, spec.a), mw_boundary(base))
+
+
+def diamonds(
+    k: int, d: int, n: int
+) -> Iterator[tuple[DiamondSpec, SimplicialComplex, SimplicialComplex, SimplicialComplex]]:
+    """Every diamond over the (k, d, n) base, a = 1..n-d+1: (spec, rim, ball, diamond).
+
+    The rim (the MW base boundary) is built once and the balls come from one
+    push chain, so a caller that needs every a pays for one build of each.
+    """
+    base = DiamondSpec(k, d, n, 1).base
     rim = mw_boundary(base)
-    facets = set(ball.facets)
-    facets.update(f | {APEX} for f in rim.facets)
-    return SimplicialComplex(facets)
+    for a, ball in lex_subdivisions(base):
+        yield DiamondSpec(k, d, n, a), rim, ball, _cap(ball, rim)
 
 
 def diamond_g_closed(k: int, d: int, n: int, a: int) -> GVector:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .constructions import DiamondSpec, diamond_boundary, diamond_g_closed
+from .constructions import diamond_g_closed, diamonds
 from .vectors import (
     CubicalG,
     GVector,
@@ -154,13 +154,14 @@ def gsc_q_closed(spec: QSpec) -> ShortCubicalG:
 def gsc_q_from_complexes(spec: QSpec) -> ShortCubicalG:
     """Route C: histogram-weighted g-vectors of explicitly enumerated diamonds.
 
-    Materializes every diamond boundary, so keep the spec small.
+    Materializes every diamond boundary, one at a time from a single diamond
+    stream, so keep the spec small.
     """
-    hist = vertex_figure_histogram(spec.n, spec.d)
+    counts = vertex_figure_histogram(spec.n, spec.d).as_dict()
     width = (spec.d - 1) // 2 + 1
     acc = [0] * width
-    for a, count in hist.counts:
-        complex_ = diamond_boundary(DiamondSpec(spec.k, spec.d, spec.n, a))
+    for dspec, _, _, complex_ in diamonds(spec.k, spec.d, spec.n):
+        count = counts[dspec.a]
         g = h_to_g(f_to_h(complex_.f_vector(), spec.d - 1))
         for i in range(width):
             acc[i] += count * g.entries[i]

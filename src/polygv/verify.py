@@ -151,16 +151,6 @@ def mw_specs(K_max: int, D_max: int, N_max: int, K_min: int = 2) -> list[cons.MW
     return out
 
 
-def diamond_specs(k_max: int, d_max: int, n_max: int) -> list[cons.DiamondSpec]:
-    out = []
-    for k in range(1, k_max + 1):
-        for d in range(2 * k + 2, d_max + 1):
-            for n in range(d, n_max + 1):
-                for a in range(1, n - d + 2):
-                    out.append(cons.DiamondSpec(k, d, n, a))
-    return out
-
-
 def q_specs(k_max: int, d_max: int, n_max: int) -> list[qv.QSpec]:
     out = []
     for k in range(1, k_max + 1):
@@ -451,34 +441,29 @@ def check_mw_vertex_link(bounds: GridBounds) -> CheckResult:
     return _result("constructions: vertex link is the lower MW polytope", fails, len(specs))
 
 
-def _lex_props_for(spec: cons.DiamondSpec) -> list[str]:
+def _lex_fails(
+    spec: cons.DiamondSpec, rim: cx.SimplicialComplex, ball: cx.SimplicialComplex
+) -> list[str]:
     fails = []
     base = spec.base
-    direct = cons.lex_subdivision(base, spec.a)
-    if direct != cons.lex_mw_via_cyclic(base, spec.a):
+    if ball != cons.lex_mw_via_cyclic(base, spec.a):
         fails.append(f"{spec}: cyclic-factor route differs from push/pull route")
-    if not direct.is_pure() or direct.dim != base.D:
+    if not ball.is_pure() or ball.dim != base.D:
         fails.append(f"{spec}: subdivision is not pure of the base dimension")
-    rim = cons.mw_boundary(base)
-    if set(direct.vertices) != set(rim.vertices):
+    if set(ball.vertices) != set(rim.vertices):
         fails.append(f"{spec}: subdivision does not use every vertex")
-    if cons.ball_boundary(direct) != rim:
+    if cons.ball_boundary(ball) != rim:
         fails.append(f"{spec}: subdivision boundary differs from the base boundary")
     return fails
 
 
-def check_lex_properties(bounds: GridBounds) -> CheckResult:
-    specs = diamond_specs(bounds.dia_k, bounds.dia_d, bounds.dia_n)
-    fails = [msg for spec in specs for msg in _lex_props_for(spec)]
-    return _result("constructions: lexicographic subdivisions (both routes)", fails, len(specs))
-
-
-def _diamond_relations_for(spec: cons.DiamondSpec) -> list[str]:
+def _relation_fails(
+    spec: cons.DiamondSpec,
+    rim: cx.SimplicialComplex,
+    ball: cx.SimplicialComplex,
+    dia: cx.SimplicialComplex,
+) -> list[str]:
     fails = []
-    base = spec.base
-    dia = cons.diamond_boundary(spec)
-    ball = cons.lex_subdivision(base, spec.a)
-    rim = cons.mw_boundary(base)
     if not dia.is_pure() or dia.dim != spec.d - 2:
         fails.append(f"{spec}: boundary not a pure (d-2)-complex")
     if dia.euler_characteristic() != 1 + (-1) ** (spec.d - 2):
@@ -496,15 +481,14 @@ def _diamond_relations_for(spec: cons.DiamondSpec) -> list[str]:
     return fails
 
 
-def check_diamond_relations(bounds: GridBounds) -> CheckResult:
-    specs = diamond_specs(bounds.dia_k, bounds.dia_d, bounds.dia_n)
-    fails = [msg for spec in specs for msg in _diamond_relations_for(spec)]
-    return _result("constructions: diamond f-relation and closed-form g", fails, len(specs))
-
-
-def _contraction_for(spec: cons.DiamondSpec) -> list[str]:
+def _contraction_fails(
+    spec: cons.DiamondSpec,
+    rim: cx.SimplicialComplex,
+    dia: cx.SimplicialComplex,
+    previous: list[cx.SimplicialComplex],
+) -> list[str]:
+    """Contract {c1, apex}; `previous` holds the diamonds of (k, d, n-1), a = 1, 2, ..."""
     fails = []
-    dia = cons.diamond_boundary(spec)
     if spec.a == 1:
         try:
             dia.contract_edge(cx.cvert(1), cx.APEX)
@@ -517,14 +501,10 @@ def _contraction_for(spec: cons.DiamondSpec) -> list[str]:
     relabeled = contracted.relabel(
         {cx.cvert(1): cx.APEX, **{cx.cvert(i): cx.cvert(i - 1) for i in range(2, m + 1)}}
     )
-    target = cons.diamond_boundary(
-        cons.DiamondSpec(spec.k, spec.d, spec.n - 1, spec.a - 1)
-    )
-    if relabeled != target:
+    if relabeled != previous[spec.a - 2]:
         fails.append(f"{spec}: contraction is not the previous diamond")
     h_dia = vec.f_to_h(dia.f_vector(), spec.d - 1).entries
     h_con = vec.f_to_h(contracted.f_vector(), spec.d - 1).entries
-    rim = cons.mw_boundary(spec.base)
     h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), spec.d - 3).entries
     for j in range(len(h_dia)):
         rhs = h_con[j] + (h_lk[j - 1] if 1 <= j <= len(h_lk) else 0)
@@ -534,10 +514,35 @@ def _contraction_for(spec: cons.DiamondSpec) -> list[str]:
     return fails
 
 
-def check_contraction(bounds: GridBounds) -> CheckResult:
-    specs = diamond_specs(bounds.dia_k, bounds.dia_d, bounds.dia_n)
-    fails = [msg for spec in specs for msg in _contraction_for(spec)]
-    return _result("constructions: edge contraction onto the previous diamond", fails, len(specs))
+def check_diamond_grid(bounds: GridBounds) -> list[CheckResult]:
+    """Lex subdivisions, diamond relations and contractions in one pass over the grid.
+
+    For each (k, d) the layers n = d, d+1, ... are streamed in order: one rim
+    and one push chain per layer, each diamond capped once.  The contraction
+    of (k, d, n, a) lands on (k, d, n-1, a-1), so only the previous layer's
+    diamonds are kept.  Each of the three checks gets its own result.
+    """
+    lex: list[str] = []
+    rel: list[str] = []
+    con: list[str] = []
+    tested = 0
+    for k in range(1, bounds.dia_k + 1):
+        for d in range(2 * k + 2, bounds.dia_d + 1):
+            previous: list[cx.SimplicialComplex] = []
+            for n in range(d, bounds.dia_n + 1):
+                layer = []
+                for spec, rim, ball, dia in cons.diamonds(k, d, n):
+                    tested += 1
+                    lex += _lex_fails(spec, rim, ball)
+                    rel += _relation_fails(spec, rim, ball, dia)
+                    con += _contraction_fails(spec, rim, dia, previous)
+                    layer.append(dia)
+                previous = layer
+    return [
+        _result("constructions: lexicographic subdivisions (both routes)", lex, tested),
+        _result("constructions: diamond f-relation and closed-form g", rel, tested),
+        _result("constructions: edge contraction onto the previous diamond", con, tested),
+    ]
 
 
 def check_join_f_polynomial(bounds: GridBounds) -> CheckResult:
@@ -860,13 +865,10 @@ def check_stack_facets(bounds: GridBounds) -> CheckResult:
             if any(miss <= facet for miss in missing):
                 fails.append(f"facet contains a missing face at (k={k}, d={d}, n={n}, a={a})")
                 break
-        closure: set[frozenset] = set()
-        for facet in oracle:
-            t = tuple(facet)
-            for r in range(d - k - 1, d + 1):
-                closure.update(map(frozenset, combinations(t, r)))
-        for face in dia.faces:
-            if len(face) - 1 >= d - k - 2 and face not in closure:
+        # every face of dimension >= d-k-2 must lie in some oracle facet
+        covers = [dia._mask(facet) for facet in oracle]
+        for face in (b for level in dia._face_levels()[d - k - 1 :] for b in level):
+            if not any(face & c == face for c in covers):
                 fails.append(f"boundary face not covered at (k={k}, d={d}, n={n}, a={a})")
                 break
         return fails
@@ -921,9 +923,7 @@ def suite_constructions(bounds: GridBounds) -> list[CheckResult]:
         check_gale_crosscheck(bounds),
         check_mw_closed_form(bounds),
         check_mw_vertex_link(bounds),
-        check_lex_properties(bounds),
-        check_diamond_relations(bounds),
-        check_contraction(bounds),
+        *check_diamond_grid(bounds),
         check_join_f_polynomial(bounds),
         check_face_monotonicity(bounds),
     ]

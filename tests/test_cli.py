@@ -136,6 +136,17 @@ def test_verify_small_all(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_small_output_is_golden():
+    """The small grid's stdout, byte for byte, as committed in tests/golden."""
+    src = str(Path(polygv.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", "--grid", "small"],
+        capture_output=True, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 0
+    assert done.stdout == (Path(__file__).parent / "golden" / "verify_small.txt").read_bytes()
+
+
 @pytest.mark.parametrize("suite", ["transforms", "constructions", "qvectors", "stackedness"])
 def test_verify_each_suite(capsys, suite):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--grid", "small")

@@ -2,7 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from polygv.complexes import APEX, LinkConditionError, cvert, tvert
+from polygv import constructions as cons
+from polygv.complexes import APEX, LinkConditionError, SimplicialComplex, cvert, tvert
 from polygv.constructions import (
     CyclicSpec,
     DiamondSpec,
@@ -14,9 +15,11 @@ from polygv.constructions import (
     cyclic_is_face,
     diamond_boundary,
     diamond_g_closed,
+    diamonds,
     lex_mw_via_cyclic,
     lex_range,
     lex_subdivision,
+    lex_subdivisions,
     mw_boundary,
     mw_g_closed,
 )
@@ -237,6 +240,81 @@ def test_lex_commute_small_grid():
             assert lex_subdivision(spec, a) == lex_mw_via_cyclic(spec, a), (spec, a)
 
 
+def _lex_by_relabeling(spec, a):
+    """Lex_a by the push/pull loop, each suffix polytope built from scratch.
+
+    Dropping the first `start` vertices of C(K, m) or MW(K, D, N) leaves
+    C(K, m - start) or MW(K, D, N - start) with c_i renamed c_(i + start).
+    """
+    cyclic = isinstance(spec, CyclicSpec)
+    c_top = spec.m if cyclic else spec.c_count
+
+    def suffix(start):
+        if cyclic:
+            poly = cyclic_facets(spec.K, spec.m - start)
+        else:
+            poly = mw_boundary(MWSpec(spec.K, spec.D, spec.N - start))
+        shift = {cvert(i): cvert(i + start) for i in range(1, c_top - start + 1)}
+        return set(poly.relabel(shift).facets)
+
+    cells = []
+    cur = suffix(0)
+    for s in range(1, a):
+        nxt = suffix(s)
+        cells.extend(F | {cvert(s)} for F in nxt - cur)
+        cur = nxt
+    cells.extend(F | {cvert(a)} for F in cur if cvert(a) not in F)
+    return SimplicialComplex(cells)
+
+
+def _stream_specs():
+    """Every cyclic spec with K <= 6, m <= 12 and every MW base of the full diamond grid."""
+    out = [CyclicSpec(K, m) for K in range(1, 7) for m in range(K + 1, 13)]
+    for k in range(1, 4):
+        for d in range(2 * k + 2, 11):
+            out.extend(DiamondSpec(k, d, n, 1).base for n in range(d, 13))
+    return out
+
+
+def test_lex_stream_matches_single_builds():
+    cases = 0
+    for spec in _stream_specs():
+        amax = lex_range(spec)
+        got = list(lex_subdivisions(spec))
+        assert [a for a, _ in got] == list(range(1, amax + 1)), spec
+        for a, ball in got:
+            assert ball == lex_subdivision(spec, a) == _lex_by_relabeling(spec, a), (spec, a)
+            cases += 1
+    assert cases == 523
+
+
+def test_lex_stream_runs_one_push_chain(monkeypatch):
+    calls = []
+    suffix = cons._suffix_facets
+    monkeypatch.setattr(cons, "_suffix_facets", lambda spec, start: calls.append(start) or suffix(spec, start))
+    spec = MWSpec(4, 8, 13)  # lex_range 5
+    list(lex_subdivisions(spec))
+    assert calls == [0, 1, 2, 3, 4]
+    calls.clear()
+    lex_subdivision(spec, 3)
+    assert calls == [0, 1, 2]
+
+
+def test_lex_subdivision_builds_one_complex(monkeypatch):
+    built = []
+
+    class Counting(SimplicialComplex):
+        __slots__ = ()
+
+        def __init__(self, facets):
+            built.append(1)
+            super().__init__(facets)
+
+    monkeypatch.setattr(cons, "SimplicialComplex", Counting)
+    lex_subdivision(MWSpec(2, 4, 9), 5)
+    assert len(built) == 1
+
+
 # -- diamonds --------------------------------------------------------------------
 
 
@@ -302,3 +380,28 @@ def test_diamond_g_closed_validates():
         diamond_g_closed(1, 6, 9, 5)
     with pytest.raises(ValueError):
         diamond_g_closed(2, 5, 9, 1)  # d < 2k+2
+
+
+def test_diamond_stream_matches_single_builds():
+    cases = 0
+    for k in range(1, 4):
+        for d in range(2 * k + 2, 11):
+            for n in range(d, 13):
+                got = list(diamonds(k, d, n))
+                assert [spec for spec, *_ in got] == [
+                    DiamondSpec(k, d, n, a) for a in range(1, n - d + 2)
+                ]
+                for spec, rim, ball, dia in got:
+                    assert rim is got[0][1]
+                    assert rim == mw_boundary(spec.base)
+                    assert ball == lex_subdivision(spec.base, spec.a)
+                    assert dia == diamond_boundary(spec)
+                    cases += 1
+    assert cases == 272
+
+
+def test_diamond_stream_validates():
+    with pytest.raises(ValueError):
+        next(diamonds(2, 5, 9))  # d < 2k+2
+    with pytest.raises(ValueError):
+        next(diamonds(1, 6, 5))  # n < d

@@ -1,0 +1,67 @@
+"""Fault injection into the verify checks: a wrong answer at one spec must
+fail exactly the check that reads it, and name that spec."""
+
+from polygv import constructions as cons
+from polygv import stackedness as st
+from polygv import verify
+from polygv.vectors import GVector
+
+LEX, RELATIONS, CONTRACTION = (
+    "constructions: lexicographic subdivisions (both routes)",
+    "constructions: diamond f-relation and closed-form g",
+    "constructions: edge contraction onto the previous diamond",
+)
+
+
+def _by_name(results):
+    assert [r.name for r in results] == [LEX, RELATIONS, CONTRACTION]
+    return {r.name: r for r in results}
+
+
+def test_wrong_closed_form_fails_only_the_relation_check(monkeypatch):
+    bad = cons.DiamondSpec(2, 8, 11, 3)
+    closed = cons.diamond_g_closed
+
+    def wrong_at_one(k, d, n, a):
+        g = closed(k, d, n, a)
+        if (k, d, n, a) == (bad.k, bad.d, bad.n, bad.a):
+            return GVector(g.entries[:-1] + (g.entries[-1] + 1,))
+        return g
+
+    monkeypatch.setattr(cons, "diamond_g_closed", wrong_at_one)
+    results = _by_name(verify.check_diamond_grid(verify.FULL))
+    assert results[LEX].passed and results[LEX].detail == "272 cases"
+    assert results[CONTRACTION].passed and results[CONTRACTION].detail == "272 cases"
+    assert not results[RELATIONS].passed
+    assert results[RELATIONS].detail == f"{bad}: enumerated g differs from closed form"
+
+
+def test_wrong_cyclic_route_fails_only_the_lex_check(monkeypatch):
+    bad = cons.DiamondSpec(1, 6, 10, 4)
+    via_cyclic = cons.lex_mw_via_cyclic
+
+    def wrong_at_one(spec, a):
+        ball = via_cyclic(spec, a)
+        if (spec, a) == (bad.base, bad.a):
+            return cons.SimplicialComplex(sorted(ball.facets, key=sorted)[1:])
+        return ball
+
+    monkeypatch.setattr(cons, "lex_mw_via_cyclic", wrong_at_one)
+    results = _by_name(verify.check_diamond_grid(verify.FULL))
+    assert results[RELATIONS].passed and results[RELATIONS].detail == "272 cases"
+    assert results[CONTRACTION].passed and results[CONTRACTION].detail == "272 cases"
+    assert not results[LEX].passed
+    assert results[LEX].detail == f"{bad}: cyclic-factor route differs from push/pull route"
+
+
+def test_dropped_oracle_facet_leaves_a_face_uncovered(monkeypatch):
+    oracle = st.oracle_stacked_facets
+
+    def drop_one(complex_, d, k):
+        out = oracle(complex_, d, k)
+        return out[1:] if len(complex_.vertices) == 9 and d == 6 else out
+
+    monkeypatch.setattr(st, "oracle_stacked_facets", drop_one)
+    r = verify.check_stack_facets(verify.SMALL)
+    assert not r.passed
+    assert "boundary face not covered at (k=1, d=6, n=9, a=1)" in r.detail

@@ -1,70 +1,3 @@
 """Exact integer combinatorics of cubical g-vectors and their polytope families."""
 
-from .complexes import (
-    APEX,
-    Label,
-    LinkConditionError,
-    SimplicialComplex,
-    cvert,
-    label_str,
-    parse_label,
-    plain,
-    simplex_boundary,
-    simplex_complex,
-    tvert,
-)
-from .constructions import (
-    CyclicSpec,
-    DiamondSpec,
-    MWSpec,
-    ball_boundary,
-    block_decomposition,
-    cyclic_facets,
-    cyclic_is_face,
-    diamond_boundary,
-    diamond_g_closed,
-    lex_mw_via_cyclic,
-    lex_subdivision,
-    mw_boundary,
-    mw_g_closed,
-)
-from .qvectors import (
-    QSpec,
-    binomial_identity_check,
-    blind_blind_gc,
-    clbc_scan,
-    gc_q,
-    gsc_q,
-    ray_convergence_report,
-    vertex_figure_histogram,
-)
-from .stackedness import (
-    IncompatibilityWitness,
-    brute_missing_faces,
-    cube_graph_face_check,
-    incompatibility_witness,
-    oracle_stacked_facets,
-    predicted_missing_faces,
-    predicted_stacked_facets,
-)
-from .vectors import (
-    CubicalG,
-    CubicalH,
-    FVector,
-    GVector,
-    HVector,
-    ShortCubicalG,
-    ShortCubicalH,
-    check_cubical_DS,
-    check_simplicial_DS,
-    f_to_h,
-    f_to_hsc,
-    gc_from_gsc,
-    h_to_g,
-    hc_to_gc,
-    hsc_to_gsc,
-    hsc_to_hc,
-    mchoose,
-)
-
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from . import qvectors as qv
 from . import stackedness as st
 from . import vectors as vec
 from .complexes import SimplicialComplex, label_str
-from .verify import GRIDS, run_suite
+from .verify import GRIDS, SUITES, run_suite
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -102,6 +102,8 @@ def _cubical_input(text: str) -> tuple[int, vec.FVector]:
     if "facets" in obj:
         complex_ = SimplicialComplex.from_json_obj(obj)
         fv = complex_.f_vector()
+        if fv.dim < 0:
+            raise ValueError("cubical 'facets' input has no vertex, so d = 0; d must be positive")
         return fv.dim + 1, fv
     for key in ("d", "f"):
         if key not in obj:
@@ -342,12 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stackedness)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["transforms", "constructions", "qvectors", "stackedness", "all"],
-    )
-    p.add_argument("--grid", choices=["small", "full"], default="small")
+    p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
+    p.add_argument("--grid", choices=[*GRIDS], default="small")
     p.add_argument("--out", "-o", default="-")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .vectors import FVector
 
@@ -176,10 +176,6 @@ class SimplicialComplex:
                 self._labels(b) for level in self._face_levels() for b in level
             )
         return self._faces
-
-    def faces_sorted(self) -> Iterator[frozenset[Label]]:
-        """All faces in deterministic order: by size, then lexicographically."""
-        return iter(sorted(self.faces, key=lambda f: (len(f), sorted(f))))
 
     def is_face(self, face: Iterable[Label]) -> bool:
         mask = self._mask(face)

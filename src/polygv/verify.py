@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import complexes as cx
 from . import constructions as cons
@@ -38,11 +38,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class GridBounds:
-    name: str
     mw_K: int
     mw_D: int
     mw_N: int
-    link_k: int
     link_D: int
     link_N: int
     gale_K: int
@@ -53,45 +51,36 @@ class GridBounds:
     q_k: int
     q_d: int
     q_n: int
-    hist_brute_n: int
     bin_k: int
     bin_m: int
-    ray_n_extra: int
     stack_d: tuple[int, ...]
     stack_n_extra: int
-    witness_k: int
     witness_d: int
     witness_n: int
     blind_d: int
 
 
 SMALL = GridBounds(
-    name="small",
     mw_K=4, mw_D=6, mw_N=10,
-    link_k=2, link_D=6, link_N=9,
+    link_D=6, link_N=9,
     gale_K=4, gale_m=10,
     dia_k=2, dia_d=8, dia_n=10,
     q_k=2, q_d=8, q_n=12,
-    hist_brute_n=12,
     bin_k=4, bin_m=12,
-    ray_n_extra=24,
     stack_d=(6,), stack_n_extra=3,
-    witness_k=2, witness_d=8, witness_n=12,
+    witness_d=8, witness_n=12,
     blind_d=10,
 )
 
 FULL = GridBounds(
-    name="full",
     mw_K=5, mw_D=8, mw_N=12,
-    link_k=2, link_D=7, link_N=11,
+    link_D=7, link_N=11,
     gale_K=6, gale_m=12,
     dia_k=3, dia_d=10, dia_n=12,
     q_k=3, q_d=10, q_n=14,
-    hist_brute_n=14,
     bin_k=6, bin_m=30,
-    ray_n_extra=24,
     stack_d=(6, 8), stack_n_extra=4,
-    witness_k=2, witness_d=10, witness_n=14,
+    witness_d=10, witness_n=14,
     blind_d=12,
 )
 
@@ -142,9 +131,9 @@ class _Cases:
 # --------------------------------------------------------------------------
 
 
-def mw_specs(K_max: int, D_max: int, N_max: int, K_min: int = 2) -> list[cons.MWSpec]:
+def mw_specs(K_max: int, D_max: int, N_max: int) -> list[cons.MWSpec]:
     out = []
-    for K in range(K_min, K_max + 1):
+    for K in range(2, K_max + 1):
         for D in range(K, D_max + 1):
             for N in range(D + 1, N_max + 1):
                 out.append(cons.MWSpec(K, D, N))
@@ -208,7 +197,7 @@ def check_transform_named_examples() -> CheckResult:
 
 
 def check_sum_h_equals_top(bounds: GridBounds) -> CheckResult:
-    specs = mw_specs(bounds.mw_K, min(bounds.mw_D, 6), min(bounds.mw_N, 9))
+    specs = mw_specs(bounds.mw_K, 6, 9)
     fails = []
     for spec in specs:
         fv = cons.mw_boundary(spec).f_vector()
@@ -224,7 +213,7 @@ def check_palindromic_roundtrip(bounds: GridBounds) -> CheckResult:
     rng_entries = range(0, 4)
     for D in range(1, 7):
         width = D // 2 + 1
-        for tail in _tuples(rng_entries, width - 1):
+        for tail in product(rng_entries, repeat=width - 1):
             g = vec.GVector((1,) + tail)
             h = vec.h_from_g_palindromic(g, D)
             tested += 1
@@ -235,19 +224,9 @@ def check_palindromic_roundtrip(bounds: GridBounds) -> CheckResult:
     return _result("transforms: palindromic h/g round trip", fails, tested)
 
 
-def _tuples(values: Sequence[int], length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in values:
-        for rest in _tuples(values, length - 1):
-            yield (head,) + rest
-
-
 def check_cubical_ds_cubes(bounds: GridBounds) -> CheckResult:
     fails = []
-    top = max(bounds.q_d, 8)
-    for d in range(2, top + 1):
+    for d in range(2, bounds.q_d + 1):
         counts = (1,) + tuple(comb(d, j) * 2 ** (d - j) for j in range(d))
         hsc = vec.f_to_hsc(vec.FVector(d - 1, counts), d)
         hc = vec.hsc_to_hc(hsc, d)
@@ -256,7 +235,7 @@ def check_cubical_ds_cubes(bounds: GridBounds) -> CheckResult:
         gc = vec.hc_to_gc(hc)
         if gc.entries != (2 ** (d - 1),) + (0,) * (d // 2):
             fails.append(f"gc of the {d}-cube is {gc.entries}")
-    return _result("transforms: cubical DS on cube boundaries", fails, top - 1)
+    return _result("transforms: cubical DS on cube boundaries", fails, bounds.q_d - 1)
 
 
 def check_resubstitution(bounds: GridBounds) -> CheckResult:
@@ -269,7 +248,7 @@ def check_resubstitution(bounds: GridBounds) -> CheckResult:
             fails.append(f"resubstitution fails for {spec}")
     # arbitrary vectors: the inversion is algebraic, not family-specific
     for d in (4, 5, 6, 7):
-        for tail in _tuples(range(-2, 3), (d - 1) // 2):
+        for tail in product(range(-2, 3), repeat=(d - 1) // 2):
             gsc = vec.ShortCubicalG(d, (7,) + tail)
             gc = vec.gc_from_gsc(gsc, d)
             if not vec.gsc_gc_consistent(gsc, gc):
@@ -420,7 +399,7 @@ def check_mw_closed_form(bounds: GridBounds) -> CheckResult:
 
 def check_mw_vertex_link(bounds: GridBounds) -> CheckResult:
     specs = []
-    for k in range(1, bounds.link_k + 1):
+    for k in (1, 2):
         for D in range(2 * k, bounds.link_D + 1):
             for N in range(D + 1, bounds.link_N + 1):
                 specs.append((k, D, N))
@@ -665,7 +644,7 @@ def check_q_route_c(bounds: GridBounds) -> CheckResult:
         qv.QSpec(k, d, n)
         for k in (1,)
         for d in (4, 6)
-        for n in range(d, min(bounds.q_n, d + 3) + 1)
+        for n in range(d, d + 4)
     ]
 
     def one(spec: qv.QSpec) -> list[str]:
@@ -690,9 +669,8 @@ def check_histogram(bounds: GridBounds) -> CheckResult:
                 want = 2**d if a == n - d + 1 else 2 ** (n - a)
                 if count != want:
                     fails.append(f"histogram ({n},{d}) wrong count at a={a}")
-            if n <= bounds.hist_brute_n:
-                if qv.vertex_figure_histogram_brute(n, d).counts != hist.counts:
-                    fails.append(f"histogram ({n},{d}) differs from enumeration")
+            if qv.vertex_figure_histogram_brute(n, d).counts != hist.counts:
+                fails.append(f"histogram ({n},{d}) differs from enumeration")
     return _result("qvectors: vertex-figure histogram", fails, tested)
 
 
@@ -710,10 +688,9 @@ def check_binomial_identity(bounds: GridBounds) -> CheckResult:
 
 def check_ray_monotonic(bounds: GridBounds) -> CheckResult:
     fails = []
-    pairs = [(1, 6), (1, 8), (2, 8), (2, 10), (3, 10)]
-    pairs = [(k, d) for (k, d) in pairs if k <= bounds.q_k and d <= max(bounds.q_d, 10)]
+    pairs = [(k, d) for (k, d) in [(1, 6), (1, 8), (2, 8), (2, 10), (3, 10)] if k <= bounds.q_k]
     for k, d in pairs:
-        rows = qv.ray_convergence_report(k, d, range(d + 1, d + bounds.ray_n_extra + 1))
+        rows = qv.ray_convergence_report(k, d, range(d + 1, d + 25))
         values = [r.normalized[k] for r in rows]
         if any(b < a for a, b in zip(values, values[1:])):
             fails.append(f"dominant coordinate not monotone for (k={k}, d={d})")
@@ -879,7 +856,7 @@ def check_stack_facets(bounds: GridBounds) -> CheckResult:
 
 def check_stack_witness(bounds: GridBounds) -> CheckResult:
     specs = []
-    for k in range(1, bounds.witness_k + 1):
+    for k in (1, 2):
         for d in range(2 * k + 4, bounds.witness_d + 1):
             for n in range(d + 1, bounds.witness_n + 1):
                 specs.append((k, d, n))
@@ -893,12 +870,13 @@ def check_stack_witness(bounds: GridBounds) -> CheckResult:
 
 def check_cube_graph(bounds: GridBounds) -> CheckResult:
     fails = []
-    for n, m in [(3, 2), (4, 2), (4, 3)]:
+    pairs = [(3, 2), (4, 2), (4, 3)]
+    for n, m in pairs:
         if not st.cube_graph_face_check(n, m):
             fails.append(f"cube graph check fails at ({n},{m})")
         if len(st.cube_subgraph_images(n, m)) != st.cube_face_count(n, m):
             fails.append(f"subcube image count differs at ({n},{m})")
-    return _result("stackedness: cube subgraphs are faces", fails, 3)
+    return _result("stackedness: cube subgraphs are faces", fails, len(pairs))
 
 
 # --------------------------------------------------------------------------
@@ -962,10 +940,7 @@ SUITES: dict[str, Callable[[GridBounds], list[CheckResult]]] = {
 
 def run_suite(name: str, bounds: GridBounds) -> list[CheckResult]:
     if name == "all":
-        out = []
-        for key in ("transforms", "constructions", "qvectors", "stackedness"):
-            out.extend(SUITES[key](bounds))
-        return out
+        return [r for suite in SUITES.values() for r in suite(bounds)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](bounds)

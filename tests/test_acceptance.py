@@ -24,17 +24,14 @@ from polygv.verify import (
 )
 
 ACCEPT = GridBounds(
-    name="acceptance",
     mw_K=5, mw_D=8, mw_N=12,
-    link_k=2, link_D=7, link_N=11,
+    link_D=7, link_N=11,
     gale_K=6, gale_m=12,
     dia_k=2, dia_d=8, dia_n=10,
     q_k=3, q_d=10, q_n=14,
-    hist_brute_n=14,
     bin_k=6, bin_m=30,
-    ray_n_extra=24,
     stack_d=(6, 8), stack_n_extra=4,
-    witness_k=2, witness_d=10, witness_n=14,
+    witness_d=10, witness_n=14,
     blind_d=12,
 )
 

@@ -1,12 +1,22 @@
+import contextlib
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 import polygv
+from polygv import verify
 from polygv.cli import main
+
+SRC = str(Path(polygv.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -138,16 +148,15 @@ def test_verify_small_all(capsys):
 
 def test_verify_small_output_is_golden():
     """The small grid's stdout, byte for byte, as committed in tests/golden."""
-    src = str(Path(polygv.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", "--grid", "small"],
-        capture_output=True, env={"PYTHONPATH": src},
+        capture_output=True, env={"PYTHONPATH": SRC},
     )
     assert done.returncode == 0
     assert done.stdout == (Path(__file__).parent / "golden" / "verify_small.txt").read_bytes()
 
 
-@pytest.mark.parametrize("suite", ["transforms", "constructions", "qvectors", "stackedness"])
+@pytest.mark.parametrize("suite", verify.SUITES)
 def test_verify_each_suite(capsys, suite):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--grid", "small")
     assert code == 0
@@ -173,11 +182,13 @@ def test_ray_bad_range_is_exit_2(capsys):
         ('{"facets": [1]}', ["gvec", "--in", "{path}"]),
         ('{"d": 3, "f": ["a", "b", "c"]}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
         ('{"d": 1, "f": [true]}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
+        ('{"facets": []}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
+        ('{"facets": [[]]}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
     ],
     ids=[
         "fvec-in-dir", "q-report-out-dir", "fvec-list", "gvec-list", "gvec-cubical-list",
         "gvec-cubical-d0", "fvec-int-facet", "gvec-int-facet", "gvec-cubical-str-f",
-        "gvec-cubical-bool-f",
+        "gvec-cubical-bool-f", "gvec-cubical-no-facets", "gvec-cubical-empty-facet",
     ],
 )
 def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
@@ -234,9 +245,72 @@ def test_cli_imports_only_the_standard_library():
         "print(sorted(new - set(sys.stdlib_module_names) - {'polygv'}))\n"
         "print('networkx' in sys.modules)\n"
     )
-    src = str(Path(polygv.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": SRC},
     )
     assert done.stdout.splitlines() == ["[]", "False"]
+
+
+def test_package_import_loads_no_submodule():
+    """`import polygv` is the docstring and version: the API lives in the submodules."""
+    probe = (
+        "import sys\n"
+        "import polygv\n"
+        "print(sorted(name for name in sys.modules if name.startswith('polygv.')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": SRC},
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_readme_cli_tour_runs(tmp_path):
+    """Every line of README's "CLI tour" block runs, in order, under `bash -e`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^## CLI tour\n\n```\n(.*?)^```", readme, re.S | re.M).group(1)
+    script = f'polygv() {{ "{sys.executable}" -m polygv.cli "$@"; }}\n' + tour
+    done = subprocess.run(
+        ["bash", "-e", "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": os.environ.get("PATH", "")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "ray_k2_d10.csv").read_text().startswith("k,d,n,")
+
+
+LABELS = hs.sampled_from(["p", "c1", "c2", "c3", "t1", "t2", "u1", "u2", "u3", "x", "c0", ""])
+FACETS = hs.fixed_dictionaries(
+    {"facets": hs.lists(hs.lists(LABELS, max_size=4), max_size=5)},
+    optional={"dim": hs.integers(-2, 5), "vertices": hs.lists(LABELS, max_size=4)},
+)
+CUBICAL_F = hs.fixed_dictionaries(
+    {},
+    optional={
+        "d": hs.one_of(hs.integers(-2, 6), hs.booleans(), hs.text(max_size=3)),
+        "f": hs.lists(hs.one_of(hs.integers(-3, 50), hs.booleans(), hs.none()), max_size=7),
+    },
+)
+SCALARS = hs.none() | hs.booleans() | hs.integers() | hs.floats(allow_nan=False) | hs.text(max_size=5)
+ANY_JSON = hs.recursive(
+    SCALARS,
+    lambda inner: hs.lists(inner, max_size=4)
+    | hs.dictionaries(hs.sampled_from(["facets", "d", "f", "dim", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+COMMANDS = [["fvec"], ["gvec"], ["gvec", "--kind", "cubical-from-f"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=hs.one_of(FACETS, CUBICAL_F, ANY_JSON))
+@example(body={"facets": []})
+def test_fuzzed_json_input_is_exit_0_or_2(body):
+    """No JSON body makes fvec or gvec raise: each call is ok (0) or bad input (2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        for command in COMMANDS:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main([*command, "--in", str(path)])
+            assert code in (0, 2), (command, body, sink.getvalue())

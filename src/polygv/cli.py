@@ -226,8 +226,8 @@ def cmd_ray(args: argparse.Namespace) -> int:
 # -- stackedness -------------------------------------------------------------------
 
 
-def _stack_report_for(k: int, d: int, n: int, a: int) -> dict:
-    dia = cons.diamond_boundary(cons.DiamondSpec(k, d, n, a))
+def _stack_report(spec: cons.DiamondSpec, dia: SimplicialComplex) -> dict:
+    k, d, n, a = spec.k, spec.d, spec.n, spec.a
     predicted_missing = st.predicted_missing_faces(k, d, n, a)
     brute = st.brute_missing_faces(dia, k + 2)
     predicted_facets = st.predicted_stacked_facets(k, d, n, a)
@@ -248,8 +248,12 @@ def _stack_report_for(k: int, d: int, n: int, a: int) -> dict:
 
 
 def cmd_stackedness(args: argparse.Namespace) -> int:
-    indices = [args.a] if args.a is not None else list(range(1, args.n - args.d + 2))
-    diamonds = [_stack_report_for(args.k, args.d, args.n, a) for a in indices]
+    if args.a is None:
+        stream = ((spec, dia) for spec, _, _, dia in cons.diamonds(args.k, args.d, args.n))
+    else:
+        spec = cons.DiamondSpec(args.k, args.d, args.n, args.a)
+        stream = [(spec, cons.diamond_boundary(spec))]
+    diamonds = [_stack_report(spec, dia) for spec, dia in stream]
     obj: dict = {"k": args.k, "d": args.d, "n": args.n, "diamonds": diamonds}
     if args.n > args.d:
         obj["witness"] = st.incompatibility_witness(args.k, args.d, args.n).to_json_obj()

@@ -41,7 +41,8 @@ Label = tuple[int, int]
 _KIND_APEX, _KIND_C, _KIND_T, _KIND_U = 0, 1, 2, 3
 APEX: Label = (_KIND_APEX, 0)
 
-_LABEL_RE = re.compile(r"^(p|[ctu]\d+)$")
+# exactly what label_str writes: ASCII numerals, no leading zero, nothing after
+_LABEL_RE = re.compile(r"p|[ctu](0|[1-9][0-9]*)")
 
 
 def cvert(i: int) -> Label:
@@ -67,7 +68,7 @@ def label_str(v: Label) -> str:
 
 
 def parse_label(s: str) -> Label:
-    if not _LABEL_RE.match(s):
+    if not _LABEL_RE.fullmatch(s):
         raise ValueError(f"bad vertex label {s!r}")
     if s == "p":
         return APEX
@@ -244,7 +245,7 @@ class SimplicialComplex:
         the contraction would not preserve the h-polynomial bookkeeping, so
         the operation refuses instead of silently producing a non-sphere.
         """
-        if not self.is_face((u, v)):
+        if u == v or not self.is_face((u, v)):
             raise ValueError(
                 f"{{{label_str(u)}, {label_str(v)}}} is not an edge of the complex"
             )

@@ -340,7 +340,6 @@ class ClbcReport:
     """Outcome of a g^c_2 >= 0 scan over a family of cubical g-vectors."""
 
     checked: int
-    skipped: int  # vectors too short to have a g^c_2 entry
     violations: tuple[tuple[str, int], ...]
 
     @property
@@ -351,16 +350,14 @@ class ClbcReport:
 def clbc_scan(items: Iterable[tuple[str, CubicalG]]) -> ClbcReport:
     """Assert g^c_2 >= 0 across the family; collect any violations."""
     checked = 0
-    skipped = 0
     violations = []
     for name, gc in items:
-        if len(gc.entries) <= 2:
-            skipped += 1
+        if len(gc.entries) <= 2:  # too short to have a g^c_2 entry
             continue
         checked += 1
         if gc.entries[2] < 0:
             violations.append((name, gc.entries[2]))
-    return ClbcReport(checked, skipped, tuple(violations))
+    return ClbcReport(checked, tuple(violations))
 
 
 def clbc_default_items(

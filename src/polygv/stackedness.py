@@ -10,7 +10,6 @@ any global cubical stacked subdivision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -84,9 +83,6 @@ class IncompatibilityWitness:
             "face_type_in_a": self.face_type_in_a,
             "face_type_in_b": self.face_type_in_b,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
 
 def _check_params(k: int, d: int, n: int, a: int | None = None) -> None:

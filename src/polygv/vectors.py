@@ -66,10 +66,6 @@ class FVector:
         if any(c < 0 for c in self.counts):
             raise ValueError("face counts must be nonnegative")
 
-    def polynomial(self) -> tuple[int, ...]:
-        """Coefficients of f(t) = sum_i f_{i-1} t^i, lowest degree first."""
-        return self.counts
-
 
 @dataclass(frozen=True)
 class HVector:

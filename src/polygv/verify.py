@@ -55,8 +55,6 @@ class GridBounds:
     bin_m: int
     stack_d: tuple[int, ...]
     stack_n_extra: int
-    witness_d: int
-    witness_n: int
     blind_d: int
 
 
@@ -68,7 +66,6 @@ SMALL = GridBounds(
     q_k=2, q_d=8, q_n=12,
     bin_k=4, bin_m=12,
     stack_d=(6,), stack_n_extra=3,
-    witness_d=8, witness_n=12,
     blind_d=10,
 )
 
@@ -80,7 +77,6 @@ FULL = GridBounds(
     q_k=3, q_d=10, q_n=14,
     bin_k=6, bin_m=30,
     stack_d=(6, 8), stack_n_extra=4,
-    witness_d=10, witness_n=14,
     blind_d=12,
 )
 
@@ -462,11 +458,14 @@ def _relation_fails(
 
 def _contraction_fails(
     spec: cons.DiamondSpec,
-    rim: cx.SimplicialComplex,
     dia: cx.SimplicialComplex,
     previous: list[cx.SimplicialComplex],
+    h_lk: tuple[int, ...],
 ) -> list[str]:
-    """Contract {c1, apex}; `previous` holds the diamonds of (k, d, n-1), a = 1, 2, ..."""
+    """Contract {c1, apex}; `previous` holds the diamonds of (k, d, n-1), a = 1, 2, ...
+
+    `h_lk` is the h-vector of the rim's link of c1, shared by the whole layer.
+    """
     fails = []
     if spec.a == 1:
         try:
@@ -484,7 +483,6 @@ def _contraction_fails(
         fails.append(f"{spec}: contraction is not the previous diamond")
     h_dia = vec.f_to_h(dia.f_vector(), spec.d - 1).entries
     h_con = vec.f_to_h(contracted.f_vector(), spec.d - 1).entries
-    h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), spec.d - 3).entries
     for j in range(len(h_dia)):
         rhs = h_con[j] + (h_lk[j - 1] if 1 <= j <= len(h_lk) else 0)
         if h_dia[j] != rhs:
@@ -496,10 +494,10 @@ def _contraction_fails(
 def check_diamond_grid(bounds: GridBounds) -> list[CheckResult]:
     """Lex subdivisions, diamond relations and contractions in one pass over the grid.
 
-    For each (k, d) the layers n = d, d+1, ... are streamed in order: one rim
-    and one push chain per layer, each diamond capped once.  The contraction
-    of (k, d, n, a) lands on (k, d, n-1, a-1), so only the previous layer's
-    diamonds are kept.  Each of the three checks gets its own result.
+    For each (k, d) the layers n = d, d+1, ... are streamed in order: one rim,
+    one push chain and one rim link per layer, each diamond capped once.  The
+    contraction of (k, d, n, a) lands on (k, d, n-1, a-1), so only the previous
+    layer's diamonds are kept.  Each of the three checks gets its own result.
     """
     lex: list[str] = []
     rel: list[str] = []
@@ -511,10 +509,12 @@ def check_diamond_grid(bounds: GridBounds) -> list[CheckResult]:
             for n in range(d, bounds.dia_n + 1):
                 layer = []
                 for spec, rim, ball, dia in cons.diamonds(k, d, n):
+                    if spec.a == 1:
+                        h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), d - 3).entries
                     tested += 1
                     lex += _lex_fails(spec, rim, ball)
                     rel += _relation_fails(spec, rim, ball, dia)
-                    con += _contraction_fails(spec, rim, dia, previous)
+                    con += _contraction_fails(spec, dia, previous, h_lk)
                     layer.append(dia)
                 previous = layer
     return [
@@ -728,15 +728,6 @@ def check_blind_blind(bounds: GridBounds) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _stack_specs(bounds: GridBounds) -> list[tuple[int, int, int, int]]:
-    out = []
-    for d in bounds.stack_d:
-        for n in range(d, d + bounds.stack_n_extra + 1):
-            for a in range(1, n - d + 2):
-                out.append((1, d, n, a))
-    return out
-
-
 def check_stack_named_examples() -> CheckResult:
     cases = _Cases()
     expect = cases.expect
@@ -807,58 +798,50 @@ def check_stack_named_examples() -> CheckResult:
     return cases.result("stackedness: named examples")
 
 
-def check_stack_missing(bounds: GridBounds) -> CheckResult:
-    specs = _stack_specs(bounds)
+def check_stack_grid(bounds: GridBounds) -> list[CheckResult]:
+    """Missing faces and stacked facets of the k = 1 diamonds in one pass.
 
-    def one(args: tuple[int, int, int, int]) -> list[str]:
-        k, d, n, a = args
-        dia = cons.diamond_boundary(cons.DiamondSpec(k, d, n, a))
-        predicted = {cf.vertices for cf in st.predicted_missing_faces(k, d, n, a)}
-        brute = set(st.brute_missing_faces(dia, k + 2))
-        if predicted != brute:
-            return [f"missing faces differ at (k={k}, d={d}, n={n}, a={a})"]
-        small = [f for f in brute if len(f) <= k]
-        if small:
-            return [f"neighborliness violated at (k={k}, d={d}, n={n}, a={a})"]
-        return []
-
-    fails = [msg for spec in specs for msg in one(spec)]
-    return _result("stackedness: predicted vs brute missing faces", fails, len(specs))
-
-
-def check_stack_facets(bounds: GridBounds) -> CheckResult:
-    specs = _stack_specs(bounds)
-
-    def one(args: tuple[int, int, int, int]) -> list[str]:
-        k, d, n, a = args
-        fails = []
-        dia = cons.diamond_boundary(cons.DiamondSpec(k, d, n, a))
-        predicted = {cf.vertices for cf in st.predicted_stacked_facets(k, d, n, a)}
-        oracle = set(st.oracle_stacked_facets(dia, d, k))
-        if predicted != oracle:
-            fails.append(f"stacked facets differ at (k={k}, d={d}, n={n}, a={a})")
-        missing = {cf.vertices for cf in st.predicted_missing_faces(k, d, n, a)}
-        for facet in predicted:
-            if any(miss <= facet for miss in missing):
-                fails.append(f"facet contains a missing face at (k={k}, d={d}, n={n}, a={a})")
-                break
-        # every face of dimension >= d-k-2 must lie in some oracle facet
-        covers = [dia._mask(facet) for facet in oracle]
-        for face in (b for level in dia._face_levels()[d - k - 1 :] for b in level):
-            if not any(face & c == face for c in covers):
-                fails.append(f"boundary face not covered at (k={k}, d={d}, n={n}, a={a})")
-                break
-        return fails
-
-    fails = [msg for spec in specs for msg in one(spec)]
-    return _result("stackedness: predicted vs oracle stacked facets", fails, len(specs))
+    Each (d, n) layer comes from one ``cons.diamonds`` stream.  A diamond's
+    predicted missing faces are computed once and read by both checks, which
+    each get their own result.
+    """
+    miss: list[str] = []
+    fac: list[str] = []
+    tested = 0
+    for d in bounds.stack_d:
+        for n in range(d, d + bounds.stack_n_extra + 1):
+            for spec, _, _, dia in cons.diamonds(1, d, n):
+                tested += 1
+                k, a = spec.k, spec.a
+                at = f"(k={k}, d={d}, n={n}, a={a})"
+                missing = {cf.vertices for cf in st.predicted_missing_faces(k, d, n, a)}
+                brute = set(st.brute_missing_faces(dia, k + 2))
+                if missing != brute:
+                    miss.append(f"missing faces differ at {at}")
+                elif any(len(f) <= k for f in brute):
+                    miss.append(f"neighborliness violated at {at}")
+                predicted = {cf.vertices for cf in st.predicted_stacked_facets(k, d, n, a)}
+                oracle = set(st.oracle_stacked_facets(dia, d, k))
+                if predicted != oracle:
+                    fac.append(f"stacked facets differ at {at}")
+                if any(m <= facet for facet in predicted for m in missing):
+                    fac.append(f"facet contains a missing face at {at}")
+                # every face of dimension >= d-k-2 must lie in some oracle facet
+                covers = [dia._mask(facet) for facet in oracle]
+                faces = (b for level in dia._face_levels()[d - k - 1 :] for b in level)
+                if any(all(b & c != b for c in covers) for b in faces):
+                    fac.append(f"boundary face not covered at {at}")
+    return [
+        _result("stackedness: predicted vs brute missing faces", miss, tested),
+        _result("stackedness: predicted vs oracle stacked facets", fac, tested),
+    ]
 
 
 def check_stack_witness(bounds: GridBounds) -> CheckResult:
     specs = []
     for k in (1, 2):
-        for d in range(2 * k + 4, bounds.witness_d + 1):
-            for n in range(d + 1, bounds.witness_n + 1):
+        for d in range(2 * k + 4, bounds.q_d + 1):
+            for n in range(d + 1, bounds.q_n + 1):
                 specs.append((k, d, n))
     fails = []
     for k, d, n in specs:
@@ -923,8 +906,7 @@ def suite_qvectors(bounds: GridBounds) -> list[CheckResult]:
 def suite_stackedness(bounds: GridBounds) -> list[CheckResult]:
     return [
         check_stack_named_examples(),
-        check_stack_missing(bounds),
-        check_stack_facets(bounds),
+        *check_stack_grid(bounds),
         check_stack_witness(bounds),
         check_cube_graph(bounds),
     ]

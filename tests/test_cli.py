@@ -146,14 +146,15 @@ def test_verify_small_all(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_small_output_is_golden():
-    """The small grid's stdout, byte for byte, as committed in tests/golden."""
+@pytest.mark.parametrize("grid", verify.GRIDS)
+def test_verify_output_is_golden(grid):
+    """Each grid's stdout, byte for byte, as committed in tests/golden."""
     done = subprocess.run(
-        [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", "--grid", "small"],
+        [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", "--grid", grid],
         capture_output=True, env={"PYTHONPATH": SRC},
     )
     assert done.returncode == 0
-    assert done.stdout == (Path(__file__).parent / "golden" / "verify_small.txt").read_bytes()
+    assert done.stdout == (Path(__file__).parent / "golden" / f"verify_{grid}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
@@ -184,11 +185,18 @@ def test_ray_bad_range_is_exit_2(capsys):
         ('{"d": 1, "f": [true]}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
         ('{"facets": []}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
         ('{"facets": [[]]}', ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
+        ('{"facets": [["u01", "u1"]]}', ["fvec", "--in", "{path}"]),
+        ('{"facets": [["u\\u0663"]]}', ["fvec", "--in", "{path}"]),
+        ('{"facets": [["u1\\n"]]}', ["fvec", "--in", "{path}"]),
+        ('{"facets": [["p\\n"]]}', ["fvec", "--in", "{path}"]),
+        (None, ["stackedness", "--k", "1", "--d", "6", "--n", "5"]),
     ],
     ids=[
         "fvec-in-dir", "q-report-out-dir", "fvec-list", "gvec-list", "gvec-cubical-list",
         "gvec-cubical-d0", "fvec-int-facet", "gvec-int-facet", "gvec-cubical-str-f",
         "gvec-cubical-bool-f", "gvec-cubical-no-facets", "gvec-cubical-empty-facet",
+        "fvec-label-leading-zero", "fvec-label-arabic-indic-digit", "fvec-label-trailing-newline",
+        "fvec-apex-trailing-newline", "stackedness-n-below-d",
     ],
 )
 def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
@@ -314,3 +322,38 @@ def test_fuzzed_json_input_is_exit_0_or_2(body):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = main([*command, "--in", str(path)])
             assert code in (0, 2), (command, body, sink.getvalue())
+
+
+SMALL_INT = hs.integers(-2, 8)
+
+
+@hs.composite
+def cli_argv(draw):
+    """argv for construct (each family), q-report, ray or stackedness, with
+    small integers: d <= 8, n <= d + 3, a ray span of at most 5."""
+    command = draw(hs.sampled_from(["construct", "q-report", "ray", "stackedness"]))
+    if command == "construct":
+        family = draw(hs.sampled_from(["cyclic", "mw", "lex", "diamond"]))
+        argv = ["construct", "--family", family, "--base", draw(hs.sampled_from(["cyclic", "mw"]))]
+        for name in draw(hs.lists(hs.sampled_from("K m D N k d n a".split()), unique=True)):
+            argv += [f"--{name}", str(draw(SMALL_INT))]
+        return argv
+    k, d = draw(SMALL_INT), draw(SMALL_INT)
+    if command == "ray":
+        lo = draw(hs.integers(-2, d + 3))
+        hi = lo + draw(hs.integers(-1, 5))
+        return ["ray", "--k", str(k), "--d", str(d), "--n-from", str(lo), "--n-to", str(hi)]
+    argv = [command, "--k", str(k), "--d", str(d), "--n", str(draw(hs.integers(-2, d + 3)))]
+    if command == "stackedness" and draw(hs.booleans()):
+        argv += ["--a", str(draw(SMALL_INT))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argv())
+def test_fuzzed_cli_arguments_are_exit_0_1_or_2(argv):
+    """No small integer arguments make a command raise: each call is 0, 1 or 2."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, sink.getvalue())

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as stn
+from hypothesis import assume, example, given, settings, strategies as stn
 
 from polygv.complexes import (
     APEX,
@@ -30,10 +30,27 @@ def test_label_order_and_strings():
     labels = [plain(1), tvert(2), cvert(10), cvert(2), APEX, tvert(1)]
     ordered = sorted(labels)
     assert [label_str(v) for v in ordered] == ["p", "c2", "c10", "t1", "t2", "u1"]
-    for v in labels:
+    for v in labels + [cvert(0), plain(1000)]:
         assert parse_label(label_str(v)) == v
     with pytest.raises(ValueError):
         parse_label("q3")
+
+
+LABEL_TEXT = stn.text(max_size=6) | stn.from_regex(r"[pctu][0-9\u0663]{0,3}\n?", fullmatch=True)
+
+
+@settings(max_examples=200)
+@given(LABEL_TEXT)
+@example("u01")
+@example("u\u0663")
+@example("u1\n")
+@example("p\n")
+def test_parse_label_accepts_only_what_label_str_writes(s):
+    try:
+        v = parse_label(s)
+    except ValueError:
+        return
+    assert label_str(v) == s
 
 
 def test_facets_are_maximalized():
@@ -139,6 +156,8 @@ def test_contract_four_cycle_to_triangle():
 def test_contract_rejects_non_edge():
     with pytest.raises(ValueError):
         FOUR_CYCLE.contract_edge(plain(1), plain(3))
+    with pytest.raises(ValueError, match=r"\{u1, u1\} is not an edge of the complex"):
+        FOUR_CYCLE.contract_edge(plain(1), plain(1))
 
 
 def test_contract_rejects_link_condition_failure():

@@ -11,10 +11,14 @@ LEX, RELATIONS, CONTRACTION = (
     "constructions: diamond f-relation and closed-form g",
     "constructions: edge contraction onto the previous diamond",
 )
+MISSING, FACETS = (
+    "stackedness: predicted vs brute missing faces",
+    "stackedness: predicted vs oracle stacked facets",
+)
 
 
-def _by_name(results):
-    assert [r.name for r in results] == [LEX, RELATIONS, CONTRACTION]
+def _by_name(results, names=(LEX, RELATIONS, CONTRACTION)):
+    assert [r.name for r in results] == list(names)
     return {r.name: r for r in results}
 
 
@@ -62,6 +66,37 @@ def test_dropped_oracle_facet_leaves_a_face_uncovered(monkeypatch):
         return out[1:] if len(complex_.vertices) == 9 and d == 6 else out
 
     monkeypatch.setattr(st, "oracle_stacked_facets", drop_one)
-    r = verify.check_stack_facets(verify.SMALL)
+    results = _by_name(verify.check_stack_grid(verify.SMALL), (MISSING, FACETS))
+    assert results[MISSING].passed and results[MISSING].detail == "10 cases"
+    r = results[FACETS]
     assert not r.passed
     assert "boundary face not covered at (k=1, d=6, n=9, a=1)" in r.detail
+
+
+def test_dropped_missing_face_fails_only_the_missing_check(monkeypatch):
+    predicted = st.predicted_missing_faces
+
+    def drop_one(k, d, n, a):
+        out = predicted(k, d, n, a)
+        return out[1:] if (k, d, n, a) == (1, 6, 9, 2) else out
+
+    monkeypatch.setattr(st, "predicted_missing_faces", drop_one)
+    results = _by_name(verify.check_stack_grid(verify.SMALL), (MISSING, FACETS))
+    assert results[FACETS].passed and results[FACETS].detail == "10 cases"
+    assert not results[MISSING].passed
+    assert results[MISSING].detail == "missing faces differ at (k=1, d=6, n=9, a=2)"
+
+
+def test_stack_grid_builds_one_rim_per_layer(monkeypatch):
+    calls = []
+    mw_boundary = cons.mw_boundary
+
+    def counted(spec):
+        calls.append(spec)
+        return mw_boundary(spec)
+
+    monkeypatch.setattr(cons, "mw_boundary", counted)
+    results = verify.check_stack_grid(verify.FULL)
+    assert all(r.passed for r in results)
+    # one per (d, n): d in (6, 8), n = d..d+4
+    assert len(calls) == len(set(calls)) == 10

@@ -3,8 +3,7 @@
 A complex is stored by its maximal faces (facets); the full face set is the
 downward closure, computed lazily and cached.  Faces are enumerated as int
 bitmasks over the sorted vertex list (bit i stands for ``vertices[i]``),
-one set of masks per face size; label frozensets are built only when a
-caller asks for ``faces``.  Vertex labels form a totally ordered tagged
+one set of masks per face size.  Vertex labels form a totally ordered tagged
 family: the diamond apex, cyclic-factor vertices c1, c2, ..., simplex-factor
 vertices t1, t2, ..., and plain vertices u1, u2, ... for generic complexes,
 in that order.  Complexes are immutable after construction; every operation
@@ -88,7 +87,7 @@ class SimplicialComplex:
     which is what a 0-simplex bounds.
     """
 
-    __slots__ = ("facets", "dim", "_faces", "_levels", "_vertices", "_bit")
+    __slots__ = ("facets", "dim", "_levels", "_vertices", "_bit")
 
     def __init__(self, facets: Iterable[Iterable[Label]]):
         sets = {frozenset(f) for f in facets}
@@ -102,7 +101,6 @@ class SimplicialComplex:
             sets = [f for f in sets if len(f) == top or not any(f < g for g in sets)]
         self.facets: frozenset[frozenset[Label]] = frozenset(sets)
         self.dim: int = top - 1
-        self._faces: frozenset[frozenset[Label]] | None = None
         self._levels: list[set[int]] | None = None
         self._vertices: tuple[Label, ...] | None = None
         self._bit: dict[Label, int] | None = None
@@ -159,25 +157,6 @@ class SimplicialComplex:
         sizes = {len(f) for f in self.facets}
         return len(sizes) == 1
 
-    def _labels(self, mask: int) -> frozenset[Label]:
-        """The vertex set of a bitmask."""
-        verts = self.vertices
-        face = []
-        while mask:
-            low = mask & -mask
-            face.append(verts[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(face)
-
-    @property
-    def faces(self) -> frozenset[frozenset[Label]]:
-        """Downward closure of the facets (includes the empty face)."""
-        if self._faces is None:
-            self._faces = frozenset(
-                self._labels(b) for level in self._face_levels() for b in level
-            )
-        return self._faces
-
     def is_face(self, face: Iterable[Label]) -> bool:
         mask = self._mask(face)
         if mask is None:
@@ -204,20 +183,6 @@ class SimplicialComplex:
         if not rest:
             raise ValueError(f"{sorted(map(label_str, fs))} is not a face")
         return SimplicialComplex(rest)
-
-    def star(self, face: Iterable[Label]) -> list[frozenset[Label]]:
-        """The open star: all faces containing `face`, sorted."""
-        fs = frozenset(face)
-        if not self.is_face(fs):
-            raise ValueError(f"{sorted(map(label_str, fs))} is not a face")
-        mask = self._mask(fs)
-        hits = [
-            self._labels(b)
-            for level in self._face_levels()[len(fs):]
-            for b in level
-            if b & mask == mask
-        ]
-        return sorted(hits, key=lambda g: (len(g), sorted(g)))
 
     def antistar(self, face: Iterable[Label]) -> "SimplicialComplex":
         """The subcomplex of faces that do not contain `face`."""

@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterable
 
 from .complexes import APEX, Label, SimplicialComplex, cvert, label_str, tvert
-from .constructions import block_decomposition
+from .constructions import DiamondSpec, MWSpec, block_decomposition
 from .qvectors import diamond_index_of_sign_vector
 
 __all__ = [
@@ -92,13 +92,8 @@ def _check_params(k: int, d: int, n: int, a: int | None = None) -> None:
         raise ValueError(f"diamond index a={a} outside 1..{n - d + 1}")
 
 
-def _c_top(k: int, d: int, n: int) -> int:
-    """Number of cyclic-factor vertices including the gluing vertex x."""
-    return n - d + 2 * k + 1
-
-
-def _t_labels(k: int, d: int) -> frozenset[Label]:
-    return frozenset(tvert(j) for j in range(1, d - 2 * k))
+def _t_labels(base: MWSpec) -> frozenset[Label]:
+    return frozenset(tvert(j) for j in range(1, base.t_count + 1))
 
 
 def _isolated_sets(size: int, top: int) -> Iterable[tuple[int, ...]]:
@@ -124,7 +119,7 @@ def predicted_missing_faces(k: int, d: int, n: int, a: int) -> list[ClassifiedFa
     at most k+2 is missing.
     """
     _check_params(k, d, n, a)
-    m = _c_top(k, d, n)
+    m = DiamondSpec(k, d, n, a).base.c_count
     out = []
     for S in _isolated_sets(k + 1, m - 1):
         verts = frozenset(cvert(i) for i in S)
@@ -166,8 +161,8 @@ def predicted_stacked_facets(k: int, d: int, n: int, a: int) -> list[ClassifiedF
     Every facet has exactly d vertices.
     """
     _check_params(k, d, n, a)
-    m = _c_top(k, d, n)
-    tset = _t_labels(k, d)
+    base = DiamondSpec(k, d, n, a).base
+    m, tset = base.c_count, _t_labels(base)
     out = []
     for S in _even_block_sets(2 * k, m - 1, m):
         verts = frozenset(cvert(i) for i in S)
@@ -201,8 +196,8 @@ def classify_face(face: Iterable[Label], k: int, d: int, n: int, a: int) -> str:
     """Classify a vertex subset against the four predicted patterns for D_a."""
     _check_params(k, d, n, a)
     fs = frozenset(face)
-    m = _c_top(k, d, n)
-    tset = _t_labels(k, d)
+    base = DiamondSpec(k, d, n, a).base
+    m, tset = base.c_count, _t_labels(base)
     has_apex = APEX in fs
     t_part = fs & tset
     c_kind = cvert(1)[0]

@@ -1,4 +1,4 @@
-"""Verification suites: every module invariant, runnable at two grid sizes.
+"""Verification suites: every module invariant, each on its own fixed grid.
 
 Suites map to library modules: transforms (vector calculus), constructions
 (complex engine plus builders), qvectors, stackedness.  Each check returns
@@ -21,9 +21,6 @@ from . import vectors as vec
 
 __all__ = [
     "CheckResult",
-    "GridBounds",
-    "SMALL",
-    "FULL",
     "SUITES",
     "run_suite",
 ]
@@ -36,51 +33,9 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class GridBounds:
-    mw_K: int
-    mw_D: int
-    mw_N: int
-    link_D: int
-    link_N: int
-    gale_K: int
-    gale_m: int
-    dia_k: int
-    dia_d: int
-    dia_n: int
-    q_k: int
-    q_d: int
-    q_n: int
-    bin_k: int
-    bin_m: int
-    stack_d: tuple[int, ...]
-    stack_n_extra: int
-    blind_d: int
-
-
-SMALL = GridBounds(
-    mw_K=4, mw_D=6, mw_N=10,
-    link_D=6, link_N=9,
-    gale_K=4, gale_m=10,
-    dia_k=2, dia_d=8, dia_n=10,
-    q_k=2, q_d=8, q_n=12,
-    bin_k=4, bin_m=12,
-    stack_d=(6,), stack_n_extra=3,
-    blind_d=10,
-)
-
-FULL = GridBounds(
-    mw_K=5, mw_D=8, mw_N=12,
-    link_D=7, link_N=11,
-    gale_K=6, gale_m=12,
-    dia_k=3, dia_d=10, dia_n=12,
-    q_k=3, q_d=10, q_n=14,
-    bin_k=6, bin_m=30,
-    stack_d=(6, 8), stack_n_extra=4,
-    blind_d=12,
-)
-
-GRIDS = {"small": SMALL, "full": FULL}
+# The Q-polytope grid k <= Q_K, 2k+2 <= d <= Q_D, d <= n <= Q_N, shared by
+# every check that walks Q-specs, cubes or witnesses.
+Q_K, Q_D, Q_N = 3, 10, 14
 
 
 def thread_count() -> int:
@@ -192,8 +147,8 @@ def check_transform_named_examples() -> CheckResult:
     return cases.result("transforms: named examples")
 
 
-def check_sum_h_equals_top(bounds: GridBounds) -> CheckResult:
-    specs = mw_specs(bounds.mw_K, 6, 9)
+def check_sum_h_equals_top() -> CheckResult:
+    specs = mw_specs(5, 6, 9)
     fails = []
     for spec in specs:
         fv = cons.mw_boundary(spec).f_vector()
@@ -203,7 +158,7 @@ def check_sum_h_equals_top(bounds: GridBounds) -> CheckResult:
     return _result("transforms: sum of h equals facet count", fails, len(specs))
 
 
-def check_palindromic_roundtrip(bounds: GridBounds) -> CheckResult:
+def check_palindromic_roundtrip() -> CheckResult:
     fails = []
     tested = 0
     rng_entries = range(0, 4)
@@ -220,9 +175,9 @@ def check_palindromic_roundtrip(bounds: GridBounds) -> CheckResult:
     return _result("transforms: palindromic h/g round trip", fails, tested)
 
 
-def check_cubical_ds_cubes(bounds: GridBounds) -> CheckResult:
+def check_cubical_ds_cubes() -> CheckResult:
     fails = []
-    for d in range(2, bounds.q_d + 1):
+    for d in range(2, Q_D + 1):
         counts = (1,) + tuple(comb(d, j) * 2 ** (d - j) for j in range(d))
         hsc = vec.f_to_hsc(vec.FVector(d - 1, counts), d)
         hc = vec.hsc_to_hc(hsc, d)
@@ -231,12 +186,12 @@ def check_cubical_ds_cubes(bounds: GridBounds) -> CheckResult:
         gc = vec.hc_to_gc(hc)
         if gc.entries != (2 ** (d - 1),) + (0,) * (d // 2):
             fails.append(f"gc of the {d}-cube is {gc.entries}")
-    return _result("transforms: cubical DS on cube boundaries", fails, bounds.q_d - 1)
+    return _result("transforms: cubical DS on cube boundaries", fails, Q_D - 1)
 
 
-def check_resubstitution(bounds: GridBounds) -> CheckResult:
+def check_resubstitution() -> CheckResult:
     fails = []
-    specs = q_specs(bounds.q_k, bounds.q_d, bounds.q_n)
+    specs = q_specs(Q_K, Q_D, Q_N)
     for spec in specs:
         gsc = qv.gsc_q_closed(spec)
         gc = vec.gc_from_gsc(gsc, spec.d)
@@ -252,7 +207,7 @@ def check_resubstitution(bounds: GridBounds) -> CheckResult:
     return _result("transforms: short/long g re-substitution", fails, len(specs))
 
 
-def check_mchoose_recurrence(bounds: GridBounds) -> CheckResult:
+def check_mchoose_recurrence() -> CheckResult:
     fails = []
     tested = 0
     for m in range(1, 20):
@@ -356,11 +311,12 @@ def check_construction_named_examples() -> CheckResult:
     return cases.result("constructions: named examples")
 
 
-def check_gale_crosscheck(bounds: GridBounds) -> CheckResult:
+def check_gale_crosscheck() -> CheckResult:
+    """Every subset of size <= K of C(K, m), K <= 6, m <= 12."""
     fails = []
     tested = 0
-    for K in range(1, bounds.gale_K + 1):
-        for m in range(K + 1, bounds.gale_m + 1):
+    for K in range(1, 7):
+        for m in range(K + 1, 13):
             cyclic = cons.cyclic_facets(K, m)
             for size in range(0, K + 1):
                 for S in combinations(range(1, m + 1), size):
@@ -387,25 +343,26 @@ def _mw_spec_ok(spec: cons.MWSpec) -> list[str]:
     return fails
 
 
-def check_mw_closed_form(bounds: GridBounds) -> CheckResult:
-    specs = mw_specs(bounds.mw_K, bounds.mw_D, bounds.mw_N)
+def check_mw_closed_form() -> CheckResult:
+    specs = mw_specs(5, 8, 12)
     fails = [msg for spec in specs for msg in _mw_spec_ok(spec)]
     return _result("constructions: MW closed-form g and DS", fails, len(specs))
 
 
-def check_mw_vertex_link(bounds: GridBounds) -> CheckResult:
+def check_mw_vertex_link() -> CheckResult:
+    """MW(2k, D, N) for k <= 2, D <= 7, N <= 11."""
     specs = []
     for k in (1, 2):
-        for D in range(2 * k, bounds.link_D + 1):
-            for N in range(D + 1, bounds.link_N + 1):
+        for D in range(2 * k, 8):
+            for N in range(D + 1, 12):
                 specs.append((k, D, N))
 
     def one(args: tuple[int, int, int]) -> list[str]:
         k, D, N = args
-        big = cons.mw_boundary(cons.MWSpec(2 * k, D, N))
-        link = big.link([cx.cvert(1)])
+        spec = cons.MWSpec(2 * k, D, N)
+        link = cons.mw_boundary(spec).link([cx.cvert(1)])
         shifted = link.relabel(
-            {cx.cvert(i): cx.cvert(i - 1) for i in range(2, N - D + 2 * k + 1)}
+            {cx.cvert(i): cx.cvert(i - 1) for i in range(2, spec.c_count + 1)}
         )
         small = cons.mw_boundary(cons.MWSpec(2 * k - 1, D - 1, N - 1))
         if shifted != small:
@@ -475,7 +432,7 @@ def _contraction_fails(
             pass
         return fails
     contracted = dia.contract_edge(cx.cvert(1), cx.APEX)
-    m = spec.n - spec.d + 2 * spec.k + 1
+    m = spec.base.c_count
     relabeled = contracted.relabel(
         {cx.cvert(1): cx.APEX, **{cx.cvert(i): cx.cvert(i - 1) for i in range(2, m + 1)}}
     )
@@ -491,22 +448,23 @@ def _contraction_fails(
     return fails
 
 
-def check_diamond_grid(bounds: GridBounds) -> list[CheckResult]:
+def check_diamond_grid() -> list[CheckResult]:
     """Lex subdivisions, diamond relations and contractions in one pass over the grid.
 
-    For each (k, d) the layers n = d, d+1, ... are streamed in order: one rim,
-    one push chain and one rim link per layer, each diamond capped once.  The
-    contraction of (k, d, n, a) lands on (k, d, n-1, a-1), so only the previous
-    layer's diamonds are kept.  Each of the three checks gets its own result.
+    The grid is k <= 3, d <= 10, n <= 12.  For each (k, d) the layers
+    n = d, d+1, ... are streamed in order: one rim, one push chain and one
+    rim link per layer, each diamond capped once.  The contraction of
+    (k, d, n, a) lands on (k, d, n-1, a-1), so only the previous layer's
+    diamonds are kept.  Each of the three checks gets its own result.
     """
     lex: list[str] = []
     rel: list[str] = []
     con: list[str] = []
     tested = 0
-    for k in range(1, bounds.dia_k + 1):
-        for d in range(2 * k + 2, bounds.dia_d + 1):
+    for k in range(1, 4):
+        for d in range(2 * k + 2, 11):
             previous: list[cx.SimplicialComplex] = []
-            for n in range(d, bounds.dia_n + 1):
+            for n in range(d, 13):
                 layer = []
                 for spec, rim, ball, dia in cons.diamonds(k, d, n):
                     if spec.a == 1:
@@ -524,7 +482,7 @@ def check_diamond_grid(bounds: GridBounds) -> list[CheckResult]:
     ]
 
 
-def check_join_f_polynomial(bounds: GridBounds) -> CheckResult:
+def check_join_f_polynomial() -> CheckResult:
     pent = cons.cyclic_facets(2, 5)
     tetra = cx.simplex_boundary([cx.tvert(i) for i in range(1, 5)])
     edge = cx.simplex_complex([cx.plain(1), cx.plain(2)])
@@ -545,7 +503,7 @@ def check_join_f_polynomial(bounds: GridBounds) -> CheckResult:
     return _result("constructions: join multiplies f-polynomials", fails, len(pairs))
 
 
-def check_face_monotonicity(bounds: GridBounds) -> CheckResult:
+def check_face_monotonicity() -> CheckResult:
     complexes = [
         cons.mw_boundary(cons.MWSpec(2, 4, 7)),
         cons.cyclic_facets(2, 6),
@@ -612,8 +570,8 @@ def check_q_named_examples() -> CheckResult:
     return cases.result("qvectors: named examples")
 
 
-def check_q_routes(bounds: GridBounds) -> CheckResult:
-    specs = q_specs(bounds.q_k, bounds.q_d, bounds.q_n)
+def check_q_routes() -> CheckResult:
+    specs = q_specs(Q_K, Q_D, Q_N)
 
     def one(spec: qv.QSpec) -> list[str]:
         fails = []
@@ -639,7 +597,7 @@ def check_q_routes(bounds: GridBounds) -> CheckResult:
     return _result("qvectors: route agreement and cubical DS", fails, len(specs))
 
 
-def check_q_route_c(bounds: GridBounds) -> CheckResult:
+def check_q_route_c() -> CheckResult:
     specs = [
         qv.QSpec(k, d, n)
         for k in (1,)
@@ -656,11 +614,11 @@ def check_q_route_c(bounds: GridBounds) -> CheckResult:
     return _result("qvectors: explicit-complex route", fails, len(specs))
 
 
-def check_histogram(bounds: GridBounds) -> CheckResult:
+def check_histogram() -> CheckResult:
     fails = []
     tested = 0
-    for d in range(2, bounds.q_d + 1):
-        for n in range(d, bounds.q_n + 1):
+    for d in range(2, Q_D + 1):
+        for n in range(d, Q_N + 1):
             tested += 1
             hist = qv.vertex_figure_histogram(n, d)
             if hist.total() != 2**n:
@@ -674,11 +632,12 @@ def check_histogram(bounds: GridBounds) -> CheckResult:
     return _result("qvectors: vertex-figure histogram", fails, tested)
 
 
-def check_binomial_identity(bounds: GridBounds) -> CheckResult:
+def check_binomial_identity() -> CheckResult:
+    """Exhaustive for k <= 6, m <= 30."""
     fails = []
     tested = 0
-    for k in range(1, bounds.bin_k + 1):
-        for m in range(0, bounds.bin_m + 1):
+    for k in range(1, 7):
+        for m in range(0, 31):
             tested += 1
             r = qv.binomial_identity_check(k, m)
             if not r.equal:
@@ -686,9 +645,9 @@ def check_binomial_identity(bounds: GridBounds) -> CheckResult:
     return _result("qvectors: closing binomial identity", fails, tested)
 
 
-def check_ray_monotonic(bounds: GridBounds) -> CheckResult:
+def check_ray_monotonic() -> CheckResult:
     fails = []
-    pairs = [(k, d) for (k, d) in [(1, 6), (1, 8), (2, 8), (2, 10), (3, 10)] if k <= bounds.q_k]
+    pairs = [(1, 6), (1, 8), (2, 8), (2, 10), (3, 10)]
     for k, d in pairs:
         rows = qv.ray_convergence_report(k, d, range(d + 1, d + 25))
         values = [r.normalized[k] for r in rows]
@@ -699,18 +658,17 @@ def check_ray_monotonic(bounds: GridBounds) -> CheckResult:
     return _result("qvectors: dominant ray coordinate is monotone", fails, len(pairs))
 
 
-def check_clbc(bounds: GridBounds) -> CheckResult:
-    report = qv.clbc_scan(
-        qv.clbc_default_items(bounds.q_k, bounds.q_d, bounds.q_n, bounds.blind_d)
-    )
+def check_clbc() -> CheckResult:
+    report = qv.clbc_scan(qv.clbc_default_items(Q_K, Q_D, Q_N, 12))
     fails = [] if report.ok else [f"violations: {report.violations[:3]}"]
     return _result("qvectors: g^c_2 nonnegative across families", fails, report.checked)
 
 
-def check_blind_blind(bounds: GridBounds) -> CheckResult:
+def check_blind_blind() -> CheckResult:
+    """Every (d, k) with d <= 12, k <= d/2."""
     fails = []
     tested = 0
-    for d in range(2, bounds.blind_d + 1):
+    for d in range(2, 13):
         for k in range(1, d // 2 + 1):
             tested += 1
             gc = qv.blind_blind_gc(d, k)
@@ -798,18 +756,18 @@ def check_stack_named_examples() -> CheckResult:
     return cases.result("stackedness: named examples")
 
 
-def check_stack_grid(bounds: GridBounds) -> list[CheckResult]:
+def check_stack_grid() -> list[CheckResult]:
     """Missing faces and stacked facets of the k = 1 diamonds in one pass.
 
-    Each (d, n) layer comes from one ``cons.diamonds`` stream.  A diamond's
-    predicted missing faces are computed once and read by both checks, which
-    each get their own result.
+    The grid is d in (6, 8), d <= n <= d+4.  Each (d, n) layer comes from
+    one ``cons.diamonds`` stream.  A diamond's predicted missing faces are
+    computed once and read by both checks, which each get their own result.
     """
     miss: list[str] = []
     fac: list[str] = []
     tested = 0
-    for d in bounds.stack_d:
-        for n in range(d, d + bounds.stack_n_extra + 1):
+    for d in (6, 8):
+        for n in range(d, d + 5):
             for spec, _, _, dia in cons.diamonds(1, d, n):
                 tested += 1
                 k, a = spec.k, spec.a
@@ -837,11 +795,11 @@ def check_stack_grid(bounds: GridBounds) -> list[CheckResult]:
     ]
 
 
-def check_stack_witness(bounds: GridBounds) -> CheckResult:
+def check_stack_witness() -> CheckResult:
     specs = []
     for k in (1, 2):
-        for d in range(2 * k + 4, bounds.q_d + 1):
-            for n in range(d + 1, bounds.q_n + 1):
+        for d in range(2 * k + 4, Q_D + 1):
+            for n in range(d + 1, Q_N + 1):
                 specs.append((k, d, n))
     fails = []
     for k, d, n in specs:
@@ -851,7 +809,7 @@ def check_stack_witness(bounds: GridBounds) -> CheckResult:
     return _result("stackedness: incompatibility witness on the grid", fails, len(specs))
 
 
-def check_cube_graph(bounds: GridBounds) -> CheckResult:
+def check_cube_graph() -> CheckResult:
     fails = []
     pairs = [(3, 2), (4, 2), (4, 3)]
     for n, m in pairs:
@@ -867,52 +825,52 @@ def check_cube_graph(bounds: GridBounds) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def suite_transforms(bounds: GridBounds) -> list[CheckResult]:
+def suite_transforms() -> list[CheckResult]:
     return [
         check_transform_named_examples(),
-        check_sum_h_equals_top(bounds),
-        check_palindromic_roundtrip(bounds),
-        check_cubical_ds_cubes(bounds),
-        check_resubstitution(bounds),
-        check_mchoose_recurrence(bounds),
+        check_sum_h_equals_top(),
+        check_palindromic_roundtrip(),
+        check_cubical_ds_cubes(),
+        check_resubstitution(),
+        check_mchoose_recurrence(),
     ]
 
 
-def suite_constructions(bounds: GridBounds) -> list[CheckResult]:
+def suite_constructions() -> list[CheckResult]:
     return [
         check_construction_named_examples(),
-        check_gale_crosscheck(bounds),
-        check_mw_closed_form(bounds),
-        check_mw_vertex_link(bounds),
-        *check_diamond_grid(bounds),
-        check_join_f_polynomial(bounds),
-        check_face_monotonicity(bounds),
+        check_gale_crosscheck(),
+        check_mw_closed_form(),
+        check_mw_vertex_link(),
+        *check_diamond_grid(),
+        check_join_f_polynomial(),
+        check_face_monotonicity(),
     ]
 
 
-def suite_qvectors(bounds: GridBounds) -> list[CheckResult]:
+def suite_qvectors() -> list[CheckResult]:
     return [
         check_q_named_examples(),
-        check_q_routes(bounds),
-        check_q_route_c(bounds),
-        check_histogram(bounds),
-        check_binomial_identity(bounds),
-        check_ray_monotonic(bounds),
-        check_blind_blind(bounds),
-        check_clbc(bounds),
+        check_q_routes(),
+        check_q_route_c(),
+        check_histogram(),
+        check_binomial_identity(),
+        check_ray_monotonic(),
+        check_blind_blind(),
+        check_clbc(),
     ]
 
 
-def suite_stackedness(bounds: GridBounds) -> list[CheckResult]:
+def suite_stackedness() -> list[CheckResult]:
     return [
         check_stack_named_examples(),
-        *check_stack_grid(bounds),
-        check_stack_witness(bounds),
-        check_cube_graph(bounds),
+        *check_stack_grid(),
+        check_stack_witness(),
+        check_cube_graph(),
     ]
 
 
-SUITES: dict[str, Callable[[GridBounds], list[CheckResult]]] = {
+SUITES: dict[str, Callable[[], list[CheckResult]]] = {
     "transforms": suite_transforms,
     "constructions": suite_constructions,
     "qvectors": suite_qvectors,
@@ -920,9 +878,9 @@ SUITES: dict[str, Callable[[GridBounds], list[CheckResult]]] = {
 }
 
 
-def run_suite(name: str, bounds: GridBounds) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        return [r for suite in SUITES.values() for r in suite(bounds)]
+        return [r for suite in SUITES.values() for r in suite()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](bounds)
+    return SUITES[name]()

@@ -10,8 +10,8 @@ from polygv import constructions as cons
 from polygv import qvectors as qv
 from polygv import stackedness as st
 from polygv import vectors as vec
+from polygv import verify
 from polygv.verify import (
-    FULL,
     check_binomial_identity,
     check_cube_graph,
     check_gale_crosscheck,
@@ -50,12 +50,12 @@ def test_criterion_01_transform_suite():
 
 
 def test_criterion_02_mw_closed_form():
-    r = check_mw_closed_form(FULL)
+    r = check_mw_closed_form()
     _report(2, "MW g closed form and Dehn-Sommerville, K<=5 D<=8 N<=12", r.passed, r.detail)
 
 
 def test_criterion_03_vertex_link_reduction():
-    r = check_mw_vertex_link(FULL)
+    r = check_mw_vertex_link()
     _report(3, "vertex link is the lower MW polytope, k<=2 D<=7 N<=11", r.passed, r.detail)
 
 
@@ -98,7 +98,7 @@ def test_criterion_05_diamond_g():
 
 
 def test_criterion_06_q_routes():
-    r = check_q_routes(FULL)
+    r = check_q_routes()
     named = qv.gc_q(qv.QSpec(1, 6, 9)).entries == (32, 448, 1088, 0)
     zero_ok = all(
         qv.gc_q_closed(qv.QSpec(k, d, n)).entries[k + 2] == 0
@@ -111,7 +111,7 @@ def test_criterion_06_q_routes():
 
 
 def test_criterion_07_binomial_identity():
-    r = check_binomial_identity(FULL)
+    r = check_binomial_identity()
     named = (
         qv.binomial_identity_check(1, 0).left == 0
         and qv.binomial_identity_check(1, 0).equal
@@ -137,7 +137,7 @@ def test_criterion_08_ray_convergence():
 
 
 def test_criterion_09_missing_faces_and_stacked_facets():
-    r1, r2 = check_stack_grid(FULL)
+    r1, r2 = check_stack_grid()
     named_missing = {cf.vertices for cf in st.predicted_missing_faces(1, 6, 9, 2)} == {
         frozenset({cx.APEX, cx.cvert(2), cx.cvert(4)}),
         frozenset({cx.APEX, cx.cvert(2), cx.cvert(5)}),
@@ -153,14 +153,14 @@ def test_criterion_09_missing_faces_and_stacked_facets():
 
 
 def test_criterion_10_incompatibility_witness():
-    r = check_stack_witness(FULL)
-    exit_code = cli.main(["verify", "--suite", "stackedness", "--grid", "small"])
+    r = check_stack_witness()
+    exit_code = cli.main(["verify", "--suite", "stackedness"])
     _report(10, "incompatibility witness for every n>d>=2k+4, k<=2, exit-code checked",
             r.passed and exit_code == 0, r.detail)
 
 
 def test_criterion_11_cube_graph_fact():
-    r = check_cube_graph(FULL)
+    r = check_cube_graph()
     _report(11, "m-cube subgraphs of the n-cube are faces, (3,2) (4,2) (4,3)", r.passed)
 
 
@@ -170,12 +170,12 @@ def test_criterion_12_elementary_family_and_clbc():
         for d in range(2, 13)
         for k in range(1, d // 2 + 1)
     )
-    report = qv.clbc_scan(qv.clbc_default_items(FULL.q_k, FULL.q_d, FULL.q_n, 12))
+    report = qv.clbc_scan(qv.clbc_default_items(verify.Q_K, verify.Q_D, verify.Q_N, 12))
     _report(12, "elementary cubical family g^c_k = 2^(d-k) and g^c_2 >= 0 scan",
             stacked_ok and report.ok, f"{report.checked} vectors scanned")
 
 
 def test_gale_crosscheck_supporting_property():
     # module property backing criteria 2 and 9: exhaustive for K <= 6, m <= 12
-    r = check_gale_crosscheck(FULL)
+    r = check_gale_crosscheck()
     assert r.passed, r.detail

@@ -139,27 +139,29 @@ def test_stackedness_report(capsys):
     assert len(report["oracle_stacked_facets"]) == 6
 
 
-def test_verify_small_all(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--grid", "small")
-    assert code == 0
-    assert "failed=0" in out
-    assert "FAIL" not in out
-
-
-@pytest.mark.parametrize("grid", verify.GRIDS)
-def test_verify_output_is_golden(grid):
-    """Each grid's stdout, byte for byte, as committed in tests/golden."""
+@pytest.mark.parametrize("grid_args", [["--grid", "full"], []], ids=["full", "default"])
+def test_verify_output_is_golden(grid_args):
+    """stdout, byte for byte, as committed in tests/golden; full is the default grid."""
     done = subprocess.run(
-        [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", "--grid", grid],
+        [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", *grid_args],
         capture_output=True, env={"PYTHONPATH": SRC},
     )
     assert done.returncode == 0
-    assert done.stdout == (Path(__file__).parent / "golden" / f"verify_{grid}.txt").read_bytes()
+    assert done.stdout == (Path(__file__).parent / "golden" / "verify_full.txt").read_bytes()
+
+
+def test_verify_other_grid_is_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", "--grid", "small"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid choice: 'small'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_verify_each_suite(capsys, suite):
-    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--grid", "small")
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
     assert out.strip().splitlines()[-1].startswith("verify:")
 
@@ -190,6 +192,9 @@ def test_ray_bad_range_is_exit_2(capsys):
         ('{"facets": [["u1\\n"]]}', ["fvec", "--in", "{path}"]),
         ('{"facets": [["p\\n"]]}', ["fvec", "--in", "{path}"]),
         (None, ["stackedness", "--k", "1", "--d", "6", "--n", "5"]),
+        ("[" * 200000 + "]" * 200000, ["fvec", "--in", "{path}"]),
+        ("[" * 200000 + "]" * 200000, ["gvec", "--in", "{path}"]),
+        ("[" * 200000 + "]" * 200000, ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
     ],
     ids=[
         "fvec-in-dir", "q-report-out-dir", "fvec-list", "gvec-list", "gvec-cubical-list",
@@ -197,6 +202,7 @@ def test_ray_bad_range_is_exit_2(capsys):
         "gvec-cubical-bool-f", "gvec-cubical-no-facets", "gvec-cubical-empty-facet",
         "fvec-label-leading-zero", "fvec-label-arabic-indic-digit", "fvec-label-trailing-newline",
         "fvec-apex-trailing-newline", "stackedness-n-below-d",
+        "fvec-deep-nesting", "gvec-deep-nesting", "gvec-cubical-deep-nesting",
     ],
 )
 def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
@@ -207,6 +213,7 @@ def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
     code, _, err = run_cli(capsys, *(arg.replace("{path}", str(path)) for arg in argv))
     assert code == 2
     assert err.startswith("polygv:")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -91,13 +91,7 @@ def test_link_builds_no_closure():
     spec = DiamondSpec(1, 6, 9, 2)
     dia = diamond_boundary(spec)
     assert dia.link([APEX]) == mw_boundary(spec.base)
-    assert dia._levels is None and dia._faces is None
-
-
-def test_star_is_face_family():
-    star = TETRA.star([plain(1)])
-    assert all(plain(1) in f for f in star)
-    assert len(star) == 7  # v, 3 edges, 3 triangles
+    assert dia._levels is None
 
 
 def test_antistar_of_pentagon_vertex():
@@ -230,7 +224,6 @@ def test_kernel_matches_brute_closure(raw):
     c = SimplicialComplex(facets)
     closure = closure_of(facets)
     assert c.facets == {f for f in closure if not any(f < g for g in closure)}
-    assert c.faces == closure
     top = max(len(f) for f in closure)
     assert c.f_vector().counts == tuple(
         sum(1 for f in closure if len(f) == s) for s in range(top + 1)
@@ -263,7 +256,7 @@ def test_link_condition_matches_definition(raw, data):
 
 @settings(max_examples=150)
 @given(FACET_LISTS, stn.data())
-def test_link_and_star_match_brute_closure(raw, data):
+def test_link_matches_brute_closure(raw, data):
     facets = [frozenset(plain(i) for i in f) for f in raw]
     closure = closure_of(facets)
     c = SimplicialComplex(facets)
@@ -272,12 +265,9 @@ def test_link_and_star_match_brute_closure(raw, data):
     else:  # mostly non-faces; u9 is never a vertex
         face = frozenset(plain(i) for i in data.draw(stn.sets(stn.integers(1, 9), max_size=4)))
     if face in closure:
-        assert c.link(face).faces == {g - face for g in closure if face <= g}
-        assert c.star(face) == sorted(
-            (g for g in closure if face <= g), key=lambda g: (len(g), sorted(g))
-        )
+        link, want = c.link(face), link_of(closure, face)
+        assert link.facets == {g for g in want if not any(g < h for h in want)}
+        assert all(link.is_face(g) for g in want)
     else:
         with pytest.raises(ValueError):
             c.link(face)
-        with pytest.raises(ValueError):
-            c.star(face)

@@ -129,10 +129,10 @@ def test_cyclic_is_face_rejects_positions_outside_range():
 def test_gale_criterion_matches_downward_closure():
     for K in range(1, 6):
         for m in range(K + 1, 11):
-            closure = cyclic_facets(K, m).faces
+            cyclic = cyclic_facets(K, m)
             for size in range(K + 1):
                 for S in combinations(range(1, m + 1), size):
-                    assert (cface(*S) in closure) == cyclic_is_face(S, K, m), (K, m, S)
+                    assert cyclic.is_face(cface(*S)) == cyclic_is_face(S, K, m), (K, m, S)
 
 
 # -- MW polytopes ---------------------------------------------------------------

@@ -33,7 +33,7 @@ def test_wrong_closed_form_fails_only_the_relation_check(monkeypatch):
         return g
 
     monkeypatch.setattr(cons, "diamond_g_closed", wrong_at_one)
-    results = _by_name(verify.check_diamond_grid(verify.FULL))
+    results = _by_name(verify.check_diamond_grid())
     assert results[LEX].passed and results[LEX].detail == "272 cases"
     assert results[CONTRACTION].passed and results[CONTRACTION].detail == "272 cases"
     assert not results[RELATIONS].passed
@@ -51,7 +51,7 @@ def test_wrong_cyclic_route_fails_only_the_lex_check(monkeypatch):
         return ball
 
     monkeypatch.setattr(cons, "lex_mw_via_cyclic", wrong_at_one)
-    results = _by_name(verify.check_diamond_grid(verify.FULL))
+    results = _by_name(verify.check_diamond_grid())
     assert results[RELATIONS].passed and results[RELATIONS].detail == "272 cases"
     assert results[CONTRACTION].passed and results[CONTRACTION].detail == "272 cases"
     assert not results[LEX].passed
@@ -66,8 +66,8 @@ def test_dropped_oracle_facet_leaves_a_face_uncovered(monkeypatch):
         return out[1:] if len(complex_.vertices) == 9 and d == 6 else out
 
     monkeypatch.setattr(st, "oracle_stacked_facets", drop_one)
-    results = _by_name(verify.check_stack_grid(verify.SMALL), (MISSING, FACETS))
-    assert results[MISSING].passed and results[MISSING].detail == "10 cases"
+    results = _by_name(verify.check_stack_grid(), (MISSING, FACETS))
+    assert results[MISSING].passed and results[MISSING].detail == "30 cases"
     r = results[FACETS]
     assert not r.passed
     assert "boundary face not covered at (k=1, d=6, n=9, a=1)" in r.detail
@@ -81,8 +81,8 @@ def test_dropped_missing_face_fails_only_the_missing_check(monkeypatch):
         return out[1:] if (k, d, n, a) == (1, 6, 9, 2) else out
 
     monkeypatch.setattr(st, "predicted_missing_faces", drop_one)
-    results = _by_name(verify.check_stack_grid(verify.SMALL), (MISSING, FACETS))
-    assert results[FACETS].passed and results[FACETS].detail == "10 cases"
+    results = _by_name(verify.check_stack_grid(), (MISSING, FACETS))
+    assert results[FACETS].passed and results[FACETS].detail == "30 cases"
     assert not results[MISSING].passed
     assert results[MISSING].detail == "missing faces differ at (k=1, d=6, n=9, a=2)"
 
@@ -96,7 +96,7 @@ def test_stack_grid_builds_one_rim_per_layer(monkeypatch):
         return mw_boundary(spec)
 
     monkeypatch.setattr(cons, "mw_boundary", counted)
-    results = verify.check_stack_grid(verify.FULL)
+    results = verify.check_stack_grid()
     assert all(r.passed for r in results)
     # one per (d, n): d in (6, 8), n = d..d+4
     assert len(calls) == len(set(calls)) == 10

@@ -169,7 +169,19 @@ def cmd_gvec(args: argparse.Namespace) -> int:
 # -- q-report -------------------------------------------------------------------
 
 
+def _check_printable(n: int) -> None:
+    """Reject n, before any computing, when str() refuses 2^n, which every row prints."""
+    # Python 3.10 before 3.10.7 has no limit and no getter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n >= (bound := (10**limit).bit_length()):
+        raise ValueError(
+            f"n={n} is too large to print: 2^n has more than {limit} digits, "
+            f"the interpreter's int-to-str limit; n must be below {bound}"
+        )
+
+
 def cmd_q_report(args: argparse.Namespace) -> int:
+    _check_printable(args.n)
     spec = qv.QSpec(args.k, args.d, args.n)
     gsc_a = qv.gsc_q_from_diamonds(spec)
     gsc_b = qv.gsc_q_closed(spec)
@@ -220,6 +232,7 @@ def cmd_q_report(args: argparse.Namespace) -> int:
 def cmd_ray(args: argparse.Namespace) -> int:
     if args.n_to < args.n_from:
         raise ValueError("--n-to must be at least --n-from")
+    _check_printable(args.n_to)
     rows = qv.ray_convergence_report(args.k, args.d, range(args.n_from, args.n_to + 1))
     for row in rows:
         if row.normalized is None:

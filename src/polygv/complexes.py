@@ -273,10 +273,6 @@ class SimplicialComplex:
             raise ValueError("'facets' must be a list of lists of vertex label strings")
         return cls([parse_label(s) for s in f] for f in facets)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SimplicialComplex":
-        return cls.from_json_obj(json.loads(text))
-
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

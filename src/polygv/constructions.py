@@ -36,9 +36,6 @@ __all__ = [
     "CyclicSpec",
     "MWSpec",
     "DiamondSpec",
-    "Block",
-    "BlockDecomposition",
-    "block_decomposition",
     "cyclic_facets",
     "cyclic_is_face",
     "mw_boundary",
@@ -122,68 +119,6 @@ class DiamondSpec:
         return MWSpec(2 * self.k, self.d - 2, self.n - 1)
 
 
-@dataclass(frozen=True)
-class Block:
-    """A maximal run of consecutive positions inside a vertex subset."""
-
-    start: int
-    end: int
-
-    @property
-    def size(self) -> int:
-        return self.end - self.start + 1
-
-    @property
-    def odd(self) -> bool:
-        return self.size % 2 == 1
-
-    def inner(self, m: int) -> bool:
-        return self.start > 1 and self.end < m
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Block structure of a subset of {1..m} under the linear vertex order.
-
-    The first and last positions (v_1 and x) are ends of the line; the
-    wraparound pair v_1 ~ x is never treated as consecutive.
-    """
-
-    positions: tuple[int, ...]
-    m: int
-    blocks: tuple[Block, ...]
-
-    @property
-    def isolated(self) -> bool:
-        return all(b.size == 1 for b in self.blocks)
-
-    def inner_odd_count(self) -> int:
-        return sum(1 for b in self.blocks if b.inner(self.m) and b.odd)
-
-    def all_blocks_even(self) -> bool:
-        return all(not b.odd for b in self.blocks)
-
-
-def block_decomposition(positions: Iterable[int], m: int) -> BlockDecomposition:
-    pos = tuple(sorted(set(positions)))
-    if pos and not (1 <= pos[0] and pos[-1] <= m):
-        raise ValueError(f"positions {pos} outside 1..{m}")
-    blocks: list[Block] = []
-    start = None
-    prev = None
-    for p in pos:
-        if start is None:
-            start = prev = p
-        elif p == prev + 1:
-            prev = p
-        else:
-            blocks.append(Block(start, prev))
-            start = prev = p
-    if start is not None:
-        blocks.append(Block(start, prev))
-    return BlockDecomposition(pos, m, tuple(blocks))
-
-
 @cache
 def _gale_facets_positions(K: int, m: int) -> tuple[tuple[int, ...], ...]:
     """K-subsets of {1..m} whose inner blocks are all even (Gale evenness).
@@ -232,7 +167,7 @@ def cyclic_is_face(subset: Iterable[int], K: int, m: int) -> bool:
     A subset of i <= K vertices spans a face exactly when it has at most
     K - i inner odd blocks.  Agrees with membership in the downward closure
     of the Gale facets.  The blocks are counted in one pass over the sorted
-    positions, without building a ``BlockDecomposition``.
+    positions.
     """
     pos = sorted(set(subset))
     if pos and not (1 <= pos[0] and pos[-1] <= m):

@@ -1,8 +1,10 @@
 """Stackedness machinery for the diamonds: missing faces, stacked facets, witnesses.
 
-The predicted face lists live purely on the block structure of the cyclic
-factor's linear vertex order (wraparound adjacency is never consecutive);
-the brute-force oracles work on the explicitly enumerated diamond boundary.
+The predicted face lists live purely on the cyclic factor's linear vertex
+order (wraparound adjacency is never consecutive): missing faces are spaced
+position sets and stacked facets are sets that pair up as (p, p+1), each
+generated directly and recognized by one predicate.  The brute-force oracles
+work on the explicitly enumerated diamond boundary.
 The incompatibility witness pins down one facet of a stacked triangulation
 that cannot be classified in the neighboring diamond, which is what blocks
 any global cubical stacked subdivision.
@@ -13,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import APEX, Label, SimplicialComplex, cvert, label_str, tvert
-from .constructions import DiamondSpec, MWSpec, block_decomposition
+from .constructions import DiamondSpec
 from .qvectors import diamond_index_of_sign_vector
 
 __all__ = [
@@ -85,29 +87,31 @@ class IncompatibilityWitness:
         }
 
 
-def _check_params(k: int, d: int, n: int, a: int | None = None) -> None:
+def _layout(k: int, d: int, n: int, a: int) -> tuple[int, frozenset[Label]]:
+    """The a-th diamond's cyclic vertex count m (x included) and its T labels.
+
+    DiamondSpec rejects an index a outside 1..n-d+1.
+    """
     if k < 1 or not n >= d >= 2 * k + 4:
         raise ValueError(f"needs k >= 1 and n >= d >= 2k+4, got k={k}, d={d}, n={n}")
-    if a is not None and not 1 <= a <= n - d + 1:
-        raise ValueError(f"diamond index a={a} outside 1..{n - d + 1}")
+    base = DiamondSpec(k, d, n, a).base
+    return base.c_count, frozenset(tvert(j) for j in range(1, base.t_count + 1))
 
 
-def _t_labels(base: MWSpec) -> frozenset[Label]:
-    return frozenset(tvert(j) for j in range(1, base.t_count + 1))
+def _spaced(r: int, top: int) -> Iterator[tuple[int, ...]]:
+    """The r-subsets of positions 1..top with no two consecutive, in lex order."""
+    for c in combinations(range(1, top - r + 2), r):
+        yield tuple(p + j for j, p in enumerate(c))
 
 
-def _isolated_sets(size: int, top: int) -> Iterable[tuple[int, ...]]:
-    """Size-`size` subsets of positions 1..top with no two consecutive."""
-    for S in combinations(range(1, top + 1), size):
-        if all(b - a >= 2 for a, b in zip(S, S[1:])):
-            yield S
+def _isolated(pos: Sequence[int]) -> bool:
+    """No two of the sorted positions are consecutive."""
+    return all(q - p >= 2 for p, q in zip(pos, pos[1:]))
 
 
-def _even_block_sets(size: int, top: int, m: int) -> Iterable[tuple[int, ...]]:
-    """Size-`size` subsets of positions 1..top with all blocks of even length."""
-    for S in combinations(range(1, top + 1), size):
-        if block_decomposition(S, m).all_blocks_even():
-            yield S
+def _paired(pos: Sequence[int]) -> bool:
+    """The sorted positions pair up as (p, p+1) from the left: every block is even."""
+    return len(pos) % 2 == 0 and all(q == p + 1 for p, q in zip(pos[::2], pos[1::2]))
 
 
 def predicted_missing_faces(k: int, d: int, n: int, a: int) -> list[ClassifiedFace]:
@@ -118,10 +122,9 @@ def predicted_missing_faces(k: int, d: int, n: int, a: int) -> list[ClassifiedFa
     vertices below x with minimum different from v_a.  Nothing else of size
     at most k+2 is missing.
     """
-    _check_params(k, d, n, a)
-    m = DiamondSpec(k, d, n, a).base.c_count
+    m, _ = _layout(k, d, n, a)
     out = []
-    for S in _isolated_sets(k + 1, m - 1):
+    for S in _spaced(k + 1, m - 1):
         verts = frozenset(cvert(i) for i in S)
         if S[0] == a:
             out.append(ClassifiedFace(verts | {APEX}, MISSING_1))
@@ -158,17 +161,16 @@ def predicted_stacked_facets(k: int, d: int, n: int, a: int) -> list[ClassifiedF
 
     Type I: apex + a 2k-set of cyclic vertices below x in even blocks + all
     of T.  Type II: v_a + such a 2k-set lying entirely above v_a + all of T.
-    Every facet has exactly d vertices.
+    Every facet has exactly d vertices.  A 2k-set in even blocks is k pairs
+    (p, p+1), one for each p of a spaced k-set of starts below x - 1.
     """
-    _check_params(k, d, n, a)
-    base = DiamondSpec(k, d, n, a).base
-    m, tset = base.c_count, _t_labels(base)
+    m, tset = _layout(k, d, n, a)
     out = []
-    for S in _even_block_sets(2 * k, m - 1, m):
-        verts = frozenset(cvert(i) for i in S)
-        out.append(ClassifiedFace(verts | {APEX} | tset, FACET_I))
-        if S[0] > a:
-            out.append(ClassifiedFace(verts | {cvert(a)} | tset, FACET_II))
+    for starts in _spaced(k, m - 2):
+        verts = frozenset(cvert(p + i) for p in starts for i in (0, 1)) | tset
+        out.append(ClassifiedFace(verts | {APEX}, FACET_I))
+        if starts[0] > a:
+            out.append(ClassifiedFace(verts | {cvert(a)}, FACET_II))
     return sorted(out, key=lambda cf: (cf.tag, sorted(cf.vertices)))
 
 
@@ -194,36 +196,23 @@ def oracle_stacked_facets(
 
 def classify_face(face: Iterable[Label], k: int, d: int, n: int, a: int) -> str:
     """Classify a vertex subset against the four predicted patterns for D_a."""
-    _check_params(k, d, n, a)
+    m, tset = _layout(k, d, n, a)
     fs = frozenset(face)
-    base = DiamondSpec(k, d, n, a).base
-    m, tset = base.c_count, _t_labels(base)
     has_apex = APEX in fs
     t_part = fs & tset
     c_kind = cvert(1)[0]
-    c_positions = sorted(idx for (kind, idx) in fs if kind == c_kind)
-    stray = fs - tset - {APEX} - {cvert(i) for i in c_positions}
-    if stray:
+    c = sorted(idx for (kind, idx) in fs if kind == c_kind)
+    # a stray label, no cyclic vertex, or the gluing vertex x: no pattern fits
+    if fs - tset - {APEX} - {cvert(i) for i in c} or not c or c[-1] >= m:
         return UNCLASSIFIED
-    c_ok = bool(c_positions) and c_positions[-1] <= m - 1
-
-    if not t_part and c_ok:
-        dec = block_decomposition(c_positions, m)
-        if len(c_positions) == k + 1 and dec.isolated:
-            if has_apex and c_positions[0] == a:
-                return MISSING_1
-            if not has_apex and c_positions[0] != a:
-                return MISSING_2
-
-    if t_part == tset and len(fs) == d and c_ok:
-        if has_apex and len(c_positions) == 2 * k:
-            if block_decomposition(c_positions, m).all_blocks_even():
-                return FACET_I
-        if not has_apex and c_positions and c_positions[0] == a:
-            rest = c_positions[1:]
-            if len(rest) == 2 * k and rest and rest[0] > a:
-                if block_decomposition(rest, m).all_blocks_even():
-                    return FACET_II
+    if not t_part:
+        if len(c) == k + 1 and _isolated(c) and has_apex == (c[0] == a):
+            return MISSING_1 if has_apex else MISSING_2
+    elif t_part == tset:
+        if has_apex and len(c) == 2 * k and _paired(c):
+            return FACET_I
+        if not has_apex and len(c) == 2 * k + 1 and c[0] == a and _paired(c[1:]):
+            return FACET_II
     return UNCLASSIFIED
 
 
@@ -236,7 +225,7 @@ def incompatibility_witness(k: int, d: int, n: int) -> IncompatibilityWitness:
     following 2k consecutive cyclic vertices, and all of T.  The face is
     type II in the a-th diamond yet matches neither facet type in the b-th.
     """
-    _check_params(k, d, n)
+    _layout(k, d, n, 1)  # checks k, d, n; the index a = 1 exists for every n >= d
     if n == d:
         raise ValueError("no diamond index a < n-d+1 exists when n == d")
     sigma = "+" + "-" * (n - 1)

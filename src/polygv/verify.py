@@ -351,14 +351,9 @@ def check_mw_closed_form() -> CheckResult:
 
 def check_mw_vertex_link() -> CheckResult:
     """MW(2k, D, N) for k <= 2, D <= 7, N <= 11."""
-    specs = []
-    for k in (1, 2):
-        for D in range(2 * k, 8):
-            for N in range(D + 1, 12):
-                specs.append((k, D, N))
-
-    def one(args: tuple[int, int, int]) -> list[str]:
-        k, D, N = args
+    specs = [(k, D, N) for k in (1, 2) for D in range(2 * k, 8) for N in range(D + 1, 12)]
+    fails = []
+    for k, D, N in specs:
         spec = cons.MWSpec(2 * k, D, N)
         link = cons.mw_boundary(spec).link([cx.cvert(1)])
         shifted = link.relabel(
@@ -366,10 +361,7 @@ def check_mw_vertex_link() -> CheckResult:
         )
         small = cons.mw_boundary(cons.MWSpec(2 * k - 1, D - 1, N - 1))
         if shifted != small:
-            return [f"vertex-link reduction fails at (2k={2*k}, D={D}, N={N})"]
-        return []
-
-    fails = [msg for spec in specs for msg in one(spec)]
+            fails.append(f"vertex-link reduction fails at (2k={2*k}, D={D}, N={N})")
     return _result("constructions: vertex link is the lower MW polytope", fails, len(specs))
 
 
@@ -572,9 +564,8 @@ def check_q_named_examples() -> CheckResult:
 
 def check_q_routes() -> CheckResult:
     specs = q_specs(Q_K, Q_D, Q_N)
-
-    def one(spec: qv.QSpec) -> list[str]:
-        fails = []
+    fails = []
+    for spec in specs:
         a, b = qv.gsc_q_from_diamonds(spec), qv.gsc_q_closed(spec)
         if a != b:
             fails.append(f"{spec}: gsc routes disagree")
@@ -591,9 +582,6 @@ def check_q_routes() -> CheckResult:
             fails.append(f"{spec}: cubical DS fails")
         if vec.hc_to_gc(hc) != gb:
             fails.append(f"{spec}: full h^c disagrees with gc")
-        return fails
-
-    fails = [msg for spec in specs for msg in one(spec)]
     return _result("qvectors: route agreement and cubical DS", fails, len(specs))
 
 
@@ -604,13 +592,11 @@ def check_q_route_c() -> CheckResult:
         for d in (4, 6)
         for n in range(d, d + 4)
     ]
-
-    def one(spec: qv.QSpec) -> list[str]:
-        if qv.gsc_q_from_complexes(spec) != qv.gsc_q_closed(spec):
-            return [f"{spec}: complex route disagrees with closed form"]
-        return []
-
-    fails = [msg for spec in specs for msg in one(spec)]
+    fails = [
+        f"{spec}: complex route disagrees with closed form"
+        for spec in specs
+        if qv.gsc_q_from_complexes(spec) != qv.gsc_q_closed(spec)
+    ]
     return _result("qvectors: explicit-complex route", fails, len(specs))
 
 

@@ -195,6 +195,8 @@ def test_ray_bad_range_is_exit_2(capsys):
         ("[" * 200000 + "]" * 200000, ["fvec", "--in", "{path}"]),
         ("[" * 200000 + "]" * 200000, ["gvec", "--in", "{path}"]),
         ("[" * 200000 + "]" * 200000, ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
+        (None, ["q-report", "--k", "1", "--d", "6", "--n", "100000"]),
+        (None, ["ray", "--k", "1", "--d", "6", "--n-from", "100000", "--n-to", "100000"]),
     ],
     ids=[
         "fvec-in-dir", "q-report-out-dir", "fvec-list", "gvec-list", "gvec-cubical-list",
@@ -203,6 +205,7 @@ def test_ray_bad_range_is_exit_2(capsys):
         "fvec-label-leading-zero", "fvec-label-arabic-indic-digit", "fvec-label-trailing-newline",
         "fvec-apex-trailing-newline", "stackedness-n-below-d",
         "fvec-deep-nesting", "gvec-deep-nesting", "gvec-cubical-deep-nesting",
+        "q-report-n-past-print-bound", "ray-n-past-print-bound",
     ],
 )
 def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
@@ -214,6 +217,18 @@ def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
     assert code == 2
     assert err.startswith("polygv:")
     assert len(err.splitlines()) == 1
+
+
+def test_print_bound_follows_the_int_str_limit(capsys, monkeypatch):
+    # 2^n has more than 30 digits from n = (10**30).bit_length() = 100 on
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 30)
+    for argv in (["q-report", "--n", "100"], ["ray", "--n-from", "6", "--n-to", "100"]):
+        code, out, err = run_cli(capsys, *argv, "--k", "1", "--d", "6")
+        assert (code, out) == (2, "")
+        assert err.startswith("polygv: n=100 is too large to print") and "below 100\n" in err
+    assert run_cli(capsys, "q-report", "--k", "1", "--d", "6", "--n", "99")[0] == 0
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    assert run_cli(capsys, "q-report", "--k", "1", "--d", "6", "--n", "100")[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -186,7 +187,7 @@ def test_json_round_trip_and_determinism():
         ]
     )
     text = mw_like.to_json()
-    again = SimplicialComplex.from_json(text)
+    again = SimplicialComplex.from_json_obj(json.loads(text))
     assert again == mw_like
     assert again.to_json() == text
     obj = mw_like.to_json_obj()

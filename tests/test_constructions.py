@@ -10,7 +10,6 @@ from polygv.constructions import (
     MWSpec,
     _gale_facets_positions,
     ball_boundary,
-    block_decomposition,
     cyclic_facets,
     cyclic_is_face,
     diamond_boundary,
@@ -28,6 +27,26 @@ from polygv.vectors import check_simplicial_DS, f_to_h, h_to_g, mchoose
 
 def cface(*idx):
     return frozenset(cvert(i) for i in idx)
+
+
+def blocks(positions):
+    """Maximal runs of consecutive positions as (start, end), in order.
+
+    The literal Gale-evenness reference that the facet generator and the
+    one-pass face test are checked against.
+    """
+    out = []
+    for p in sorted(set(positions)):
+        if out and p == out[-1][1] + 1:
+            out[-1] = (out[-1][0], p)
+        else:
+            out.append((p, p))
+    return out
+
+
+def inner_odd_count(positions, m):
+    """Odd blocks that touch neither end of the line 1..m."""
+    return sum(1 for s, e in blocks(positions) if s > 1 and e < m and (e - s) % 2 == 0)
 
 
 # -- cyclic polytopes ---------------------------------------------------------
@@ -55,7 +74,7 @@ def test_gale_generator_matches_subset_filter():
             want = [
                 S
                 for S in combinations(range(1, m + 1), K)
-                if block_decomposition(S, m).inner_odd_count() == 0
+                if inner_odd_count(S, m) == 0
             ]
             assert list(_gale_facets_positions(K, m)) == want, (K, m)
 
@@ -82,11 +101,9 @@ def test_spec_validation():
 
 
 def test_block_decomposition():
-    dec = block_decomposition({2, 3, 5, 7, 8, 9}, 10)
-    assert [(b.start, b.end) for b in dec.blocks] == [(2, 3), (5, 5), (7, 9)]
-    assert not dec.isolated
-    assert dec.inner_odd_count() == 2
-    assert block_decomposition({1, 4, 7}, 7).isolated
+    assert blocks({2, 3, 5, 7, 8, 9}) == [(2, 3), (5, 5), (7, 9)]
+    assert inner_odd_count({2, 3, 5, 7, 8, 9}, 10) == 2
+    assert blocks({1, 4, 7}) == [(1, 1), (4, 4), (7, 7)]
 
 
 @pytest.mark.parametrize(
@@ -113,17 +130,15 @@ def test_cyclic_is_face_matches_block_rule():
         for K in range(1, m):
             for size in range(K + 1):
                 for S in combinations(range(1, m + 1), size):
-                    want = block_decomposition(S, m).inner_odd_count() <= K - size
+                    want = inner_odd_count(S, m) <= K - size
                     assert cyclic_is_face(S, K, m) is want, (K, m, S)
 
 
 def test_cyclic_is_face_rejects_positions_outside_range():
-    for bad in ({0, 2}, {2, 7}):
-        with pytest.raises(ValueError) as want:
-            block_decomposition(bad, 6)
+    for bad, want in (({0, 2}, "positions (0, 2) outside 1..6"), ({2, 7}, "positions (2, 7) outside 1..6")):
         with pytest.raises(ValueError) as got:
             cyclic_is_face(bad, 2, 6)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == want
 
 
 def test_gale_criterion_matches_downward_closure():

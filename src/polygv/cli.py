@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import constructions as cons
 from . import qvectors as qv
@@ -169,20 +169,40 @@ def cmd_gvec(args: argparse.Namespace) -> int:
 # -- q-report -------------------------------------------------------------------
 
 
-def _check_printable(n: int) -> None:
-    """Reject n, before any computing, when str() refuses 2^n, which every row prints."""
+def _check_printable(spec: qv.QSpec, row: Callable[[qv.QSpec], Iterable[int]]) -> None:
+    """Reject a spec, before the slow routes run, when str() refuses an entry of ``row(spec)``.
+
+    An n of at least the bit length of 10^limit is rejected without computing
+    the row, since 2^n then has more digits than the limit.
+    """
     # Python 3.10 before 3.10.7 has no limit and no getter
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and n >= (bound := (10**limit).bit_length()):
+    top = 10**limit
+    if limit and (spec.n >= top.bit_length() or max(map(abs, row(spec))) >= top):
         raise ValueError(
-            f"n={n} is too large to print: 2^n has more than {limit} digits, "
-            f"the interpreter's int-to-str limit; n must be below {bound}"
+            f"n={spec.n} is too large to print: an entry has more than {limit} digits, "
+            f"the interpreter's int-to-str limit"
         )
 
 
+def _q_report_row(spec: qv.QSpec) -> list[int]:
+    """Entries that bound every integer q-report prints: g^c, and g^sc through index k.
+
+    g^sc_{k+1} = sum_a 2^(n-a) mchoose(n-d-a+1, k) is below g^sc_k, and later
+    g^sc entries are 0, so the slow sum is never needed.
+    """
+    gsc_head = [2**spec.n * vec.mchoose(spec.n - spec.d, i) for i in range(spec.k + 1)]
+    return list(qv.gc_q_closed(spec).entries) + gsc_head
+
+
+def _ray_row(spec: qv.QSpec) -> tuple[int, ...]:
+    """The integers a ray row prints: the g^c tail."""
+    return qv.gc_q_closed(spec).entries[1:]
+
+
 def cmd_q_report(args: argparse.Namespace) -> int:
-    _check_printable(args.n)
     spec = qv.QSpec(args.k, args.d, args.n)
+    _check_printable(spec, _q_report_row)
     gsc_a = qv.gsc_q_from_diamonds(spec)
     gsc_b = qv.gsc_q_closed(spec)
     gc_a = qv.gc_q_via_gsc(spec)
@@ -232,7 +252,10 @@ def cmd_q_report(args: argparse.Namespace) -> int:
 def cmd_ray(args: argparse.Namespace) -> int:
     if args.n_to < args.n_from:
         raise ValueError("--n-to must be at least --n-from")
-    _check_printable(args.n_to)
+    qv.QSpec(args.k, args.d, args.n_from)  # the first row's parameter error, if any
+    # the largest entries come with the largest n, so a failure shows at once
+    for n in range(args.n_to, args.n_from - 1, -1):
+        _check_printable(qv.QSpec(args.k, args.d, n), _ray_row)
     rows = qv.ray_convergence_report(args.k, args.d, range(args.n_from, args.n_to + 1))
     for row in rows:
         if row.normalized is None:

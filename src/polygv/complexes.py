@@ -1,13 +1,15 @@
 """Simplicial complexes on labeled vertices.
 
 A complex is stored by its maximal faces (facets); the full face set is the
-downward closure, computed lazily and cached.  Faces are enumerated as int
-bitmasks over the sorted vertex list (bit i stands for ``vertices[i]``),
-one set of masks per face size.  Vertex labels form a totally ordered tagged
-family: the diamond apex, cyclic-factor vertices c1, c2, ..., simplex-factor
-vertices t1, t2, ..., and plain vertices u1, u2, ... for generic complexes,
-in that order.  Complexes are immutable after construction; every operation
-returns a new value.
+downward closure, computed lazily and cached as a face map.  A face is an
+int bitmask over the sorted vertex list (bit i stands for ``vertices[i]``),
+split at bit ``_LOW``: the map takes the high part h to one int whose bit l
+is set exactly when ``h << _LOW | l`` is a face.  Counting faces is then a
+popcount per entry, and testing one is a dict lookup and a shift.  Vertex
+labels form a totally ordered tagged family: the diamond apex, cyclic-factor
+vertices c1, c2, ..., simplex-factor vertices t1, t2, ..., and plain
+vertices u1, u2, ... for generic complexes, in that order.  Complexes are
+immutable after construction; every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .vectors import FVector
 
@@ -75,6 +77,35 @@ def parse_label(s: str) -> Label:
     return (kind, int(s[1:]))
 
 
+# Low bits per face-map entry: an entry has at most 2^_LOW bits, so memory
+# stays bounded for any vertex count, and a complex on at most _LOW vertices
+# has a single entry.
+_LOW = 12
+_LOW_MASK = (1 << _LOW) - 1
+
+
+def _down(low: int) -> int:
+    """The down-set of a low mask: bit l is set exactly when l is a submask of ``low``."""
+    down = 1
+    while low:
+        bit = low & -low
+        down |= down << bit
+        low ^= bit
+    return down
+
+
+def _size_rows() -> list[int]:
+    """Row j has bit l set exactly when the low mask l has j bits, 0 <= j <= _LOW."""
+    rows = [1]
+    for i in range(_LOW):
+        step = 1 << i
+        rows = [r | (rows[j - 1] << step if j else 0) for j, r in enumerate(rows + [0])]
+    return rows
+
+
+_SIZE_ROWS = _size_rows()
+
+
 class LinkConditionError(ValueError):
     """Raised when an edge contraction would not preserve the h-polynomial relation."""
 
@@ -87,7 +118,7 @@ class SimplicialComplex:
     which is what a 0-simplex bounds.
     """
 
-    __slots__ = ("facets", "dim", "_levels", "_vertices", "_bit")
+    __slots__ = ("facets", "dim", "_faces", "_vertices", "_bit")
 
     def __init__(self, facets: Iterable[Iterable[Label]]):
         sets = {frozenset(f) for f in facets}
@@ -101,7 +132,7 @@ class SimplicialComplex:
             sets = [f for f in sets if len(f) == top or not any(f < g for g in sets)]
         self.facets: frozenset[frozenset[Label]] = frozenset(sets)
         self.dim: int = top - 1
-        self._levels: list[set[int]] | None = None
+        self._faces: dict[int, int] | None = None
         self._vertices: tuple[Label, ...] | None = None
         self._bit: dict[Label, int] | None = None
 
@@ -132,26 +163,38 @@ class SimplicialComplex:
             mask |= b
         return mask
 
-    def _face_levels(self) -> list[set[int]]:
-        """Face masks by size: entry s holds the masks of the s-element faces.
+    def _face_map(self) -> dict[int, int]:
+        """High part h -> the bitmap of the low parts l with ``h << _LOW | l`` a face.
 
-        Seeded with the facet masks; each level is then filled from the one
-        above by clearing one bit at a time.
+        Each facet contributes the down-set of its low part to the entry of
+        every submask of its high part.
         """
-        if self._levels is None:
-            levels: list[set[int]] = [set() for _ in range(self.dim + 2)]
+        if self._faces is None:
+            faces: dict[int, int] = {}
             for f in self.facets:
-                levels[len(f)].add(self._mask(f))
-            for size in range(len(levels) - 1, 0, -1):
-                lower = levels[size - 1]
-                for b in levels[size]:
-                    rest = b
-                    while rest:
-                        low = rest & -rest
-                        lower.add(b ^ low)
-                        rest ^= low
-            self._levels = levels
-        return self._levels
+                mask = self._mask(f)
+                down, high = _down(mask & _LOW_MASK), mask >> _LOW
+                sub = high
+                while True:
+                    faces[sub] = faces.get(sub, 0) | down
+                    if not sub:
+                        break
+                    sub = (sub - 1) & high
+            self._faces = faces
+        return self._faces
+
+    def _has(self, mask: int) -> bool:
+        """Whether the vertex set with this bitmask is a face."""
+        return bool(self._face_map().get(mask >> _LOW, 0) >> (mask & _LOW_MASK) & 1)
+
+    def _face_masks(self, min_size: int) -> Iterator[int]:
+        """Bitmasks of the faces with at least ``min_size`` vertices."""
+        for high, row in self._face_map().items():
+            row &= sum(_SIZE_ROWS[max(0, min_size - high.bit_count()) :])
+            while row:
+                low = row & -row
+                yield (high << _LOW) | (low.bit_length() - 1)
+                row ^= low
 
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.facets}
@@ -159,14 +202,15 @@ class SimplicialComplex:
 
     def is_face(self, face: Iterable[Label]) -> bool:
         mask = self._mask(face)
-        if mask is None:
-            return False
-        levels = self._face_levels()
-        size = mask.bit_count()
-        return size < len(levels) and mask in levels[size]
+        return mask is not None and self._has(mask)
 
     def f_vector(self) -> FVector:
-        return FVector(self.dim, tuple(len(level) for level in self._face_levels()))
+        counts = [0] * (self.dim + 2)
+        for high, row in self._face_map().items():
+            base = high.bit_count()
+            for j in range(min(_LOW, self.dim + 1 - base) + 1):
+                counts[base + j] += (row & _SIZE_ROWS[j]).bit_count()
+        return FVector(self.dim, tuple(counts))
 
     def euler_characteristic(self) -> int:
         """Reduced-free Euler characteristic sum_i (-1)^i f_i."""
@@ -215,22 +259,21 @@ class SimplicialComplex:
                 f"{{{label_str(u)}, {label_str(v)}}} is not an edge of the complex"
             )
         # lk_uv is always inside lk_u & lk_v; it misses a face exactly when
-        # some face G + u with v not in G has G + v as a face but not G + u + v
+        # some face G has G + u and G + v as faces but not G + u + v (then u,
+        # v are not in G).  Per high part h of G, the entry of h + x shifted
+        # down by the low part of x marks the low parts l of G with G + x a
+        # face, read only where l avoids u and v: the `free` low parts.
         bit = self._bits()
-        bu, bv = bit[u], bit[v]
-        levels = self._face_levels()
-        for size, level in enumerate(levels):
-            upper = levels[size + 1] if size + 1 < len(levels) else ()
-            for b in level:
-                if (
-                    b & bu
-                    and not b & bv
-                    and ((b ^ bu) | bv) in level
-                    and (b | bv) not in upper
-                ):
-                    raise LinkConditionError(
-                        f"link condition fails at edge {{{label_str(u)}, {label_str(v)}}}"
-                    )
+        pair = bit[u] | bit[v]
+        parts = [(x >> _LOW, x & _LOW_MASK) for x in (bit[u], bit[v], pair)]
+        faces = self._face_map()
+        free = _down(_LOW_MASK & ~pair)
+        for h in faces:
+            with_u, with_v, with_uv = (faces.get(h | xh, 0) >> xl for xh, xl in parts)
+            if with_u & with_v & ~with_uv & free:
+                raise LinkConditionError(
+                    f"link condition fails at edge {{{label_str(u)}, {label_str(v)}}}"
+                )
         new_facets = []
         for f in self.facets:
             if v in f:

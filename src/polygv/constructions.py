@@ -43,6 +43,7 @@ __all__ = [
     "lex_subdivision",
     "lex_subdivisions",
     "lex_mw_via_cyclic",
+    "lex_mw_from_cyclic",
     "lex_range",
     "diamond_boundary",
     "diamonds",
@@ -307,19 +308,24 @@ def lex_subdivision(spec: CyclicSpec | MWSpec, a: int) -> SimplicialComplex:
 def lex_mw_via_cyclic(spec: MWSpec, a: int) -> SimplicialComplex:
     """Assemble Lex_a of an MW polytope from Lex_a of its cyclic factor.
 
+    Must agree with the direct push/pull route facet for facet.
+    """
+    return lex_mw_from_cyclic(spec, lex_subdivision(CyclicSpec(spec.K, spec.c_count), a))
+
+
+def lex_mw_from_cyclic(spec: MWSpec, cyclic_lex: SimplicialComplex) -> SimplicialComplex:
+    """Lex_a of an MW polytope from ``cyclic_lex``, Lex_a of its cyclic factor C(K, c_count).
+
     The subdivision restricted to the cyclic factor determines everything:
     cells through the gluing vertex x pick up all of T, the rest pick up
-    the codimension-one faces of T.  Must agree with the direct push/pull
-    route facet for facet.
+    the codimension-one faces of T.
     """
-    m = spec.c_count
-    ball = lex_subdivision(CyclicSpec(spec.K, m), a)
-    x = cvert(m)
+    x = cvert(spec.c_count)
     t_labels = [tvert(j) for j in range(1, spec.t_count + 1)]
     t_full = simplex_complex(t_labels)
     t_bound = simplex_boundary(t_labels)
-    part_a = t_full.join(ball.link([x]))
-    part_b = t_bound.join(ball.antistar([x]))
+    part_a = t_full.join(cyclic_lex.link([x]))
+    part_b = t_bound.join(cyclic_lex.antistar([x]))
     return SimplicialComplex(set(part_a.facets) | set(part_b.facets))
 
 

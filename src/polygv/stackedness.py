@@ -180,17 +180,28 @@ def oracle_stacked_facets(
     """d-subsets of the diamond's vertices all of whose small subsets are faces.
 
     The criterion is literal: every subset of size <= k+2 must be a face of
-    the boundary complex.
+    the boundary complex.  Candidates grow one vertex at a time in vertex
+    order; adding v tests only the small subsets through v, which are v
+    plus a subset of at most k+1 of the vertices chosen so far.
     """
     support = complex_.vertices
-    # face masks of size 1..k+2; bit i stands for support[i]
-    small = set().union(*complex_._face_levels()[1 : k + 3])
-    out = []
-    for S in combinations([1 << i for i in range(len(support))], d):
-        if all(
-            sum(sub) in small for size in range(1, k + 3) for sub in combinations(S, size)
-        ):
-            out.append(frozenset(support[b.bit_length() - 1] for b in S))
+    has = complex_._has
+    found: list[int] = []
+
+    def grow(chosen: int, size: int, small: list[int], start: int) -> None:
+        # small: the masks of the subsets of `chosen` with at most k+1 vertices
+        if size == d:
+            found.append(chosen)
+            return
+        for i in range(start, len(support) - d + size + 1):
+            bit = 1 << i
+            through = [s | bit for s in small]
+            if all(map(has, through)):
+                more = [s for s in through if s.bit_count() <= k + 1]
+                grow(chosen | bit, size + 1, small + more, i + 1)
+
+    grow(0, 0, [0], 0)
+    out = [frozenset(v for i, v in enumerate(support) if b >> i & 1) for b in found]
     return sorted(out, key=lambda f: sorted(f))
 
 

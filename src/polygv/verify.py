@@ -366,11 +366,15 @@ def check_mw_vertex_link() -> CheckResult:
 
 
 def _lex_fails(
-    spec: cons.DiamondSpec, rim: cx.SimplicialComplex, ball: cx.SimplicialComplex
+    spec: cons.DiamondSpec,
+    rim: cx.SimplicialComplex,
+    ball: cx.SimplicialComplex,
+    cyclic_lex: cx.SimplicialComplex,
 ) -> list[str]:
+    """`cyclic_lex` is Lex_a of the base's cyclic factor, from the layer's own stream."""
     fails = []
     base = spec.base
-    if ball != cons.lex_mw_via_cyclic(base, spec.a):
+    if ball != cons.lex_mw_from_cyclic(base, cyclic_lex):
         fails.append(f"{spec}: cyclic-factor route differs from push/pull route")
     if not ball.is_pure() or ball.dim != base.D:
         fails.append(f"{spec}: subdivision is not pure of the base dimension")
@@ -444,10 +448,10 @@ def check_diamond_grid() -> list[CheckResult]:
     """Lex subdivisions, diamond relations and contractions in one pass over the grid.
 
     The grid is k <= 3, d <= 10, n <= 12.  For each (k, d) the layers
-    n = d, d+1, ... are streamed in order: one rim, one push chain and one
-    rim link per layer, each diamond capped once.  The contraction of
-    (k, d, n, a) lands on (k, d, n-1, a-1), so only the previous layer's
-    diamonds are kept.  Each of the three checks gets its own result.
+    n = d, d+1, ... are streamed in order: one rim, one push chain on the
+    base, one on its cyclic factor and one rim link per layer, each diamond
+    capped once.  The contraction of (k, d, n, a) lands on (k, d, n-1, a-1),
+    so only the previous layer's diamonds are kept.  Each of the three checks gets its own result.
     """
     lex: list[str] = []
     rel: list[str] = []
@@ -458,11 +462,15 @@ def check_diamond_grid() -> list[CheckResult]:
             previous: list[cx.SimplicialComplex] = []
             for n in range(d, 13):
                 layer = []
-                for spec, rim, ball, dia in cons.diamonds(k, d, n):
+                base = cons.DiamondSpec(k, d, n, 1).base
+                cyclic = cons.lex_subdivisions(cons.CyclicSpec(base.K, base.c_count))
+                for (spec, rim, ball, dia), (_, cyclic_lex) in zip(
+                    cons.diamonds(k, d, n), cyclic, strict=True
+                ):
                     if spec.a == 1:
                         h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), d - 3).entries
                     tested += 1
-                    lex += _lex_fails(spec, rim, ball)
+                    lex += _lex_fails(spec, rim, ball, cyclic_lex)
                     rel += _relation_fails(spec, rim, ball, dia)
                     con += _contraction_fails(spec, dia, previous, h_lk)
                     layer.append(dia)
@@ -772,8 +780,7 @@ def check_stack_grid() -> list[CheckResult]:
                     fac.append(f"facet contains a missing face at {at}")
                 # every face of dimension >= d-k-2 must lie in some oracle facet
                 covers = [dia._mask(facet) for facet in oracle]
-                faces = (b for level in dia._face_levels()[d - k - 1 :] for b in level)
-                if any(all(b & c != b for c in covers) for b in faces):
+                if any(all(b & c != b for c in covers) for b in dia._face_masks(d - k - 1)):
                     fac.append(f"boundary face not covered at {at}")
     return [
         _result("stackedness: predicted vs brute missing faces", miss, tested),

@@ -197,6 +197,8 @@ def test_ray_bad_range_is_exit_2(capsys):
         ("[" * 200000 + "]" * 200000, ["gvec", "--in", "{path}", "--kind", "cubical-from-f"]),
         (None, ["q-report", "--k", "1", "--d", "6", "--n", "100000"]),
         (None, ["ray", "--k", "1", "--d", "6", "--n-from", "100000", "--n-to", "100000"]),
+        (None, ["q-report", "--k", "1", "--d", "6", "--n", "14284"]),
+        (None, ["ray", "--k", "1", "--d", "6", "--n-from", "14284", "--n-to", "14284"]),
     ],
     ids=[
         "fvec-in-dir", "q-report-out-dir", "fvec-list", "gvec-list", "gvec-cubical-list",
@@ -206,6 +208,7 @@ def test_ray_bad_range_is_exit_2(capsys):
         "fvec-apex-trailing-newline", "stackedness-n-below-d",
         "fvec-deep-nesting", "gvec-deep-nesting", "gvec-cubical-deep-nesting",
         "q-report-n-past-print-bound", "ray-n-past-print-bound",
+        "q-report-entry-past-print-bound", "ray-entry-past-print-bound",
     ],
 )
 def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
@@ -220,15 +223,27 @@ def test_bad_input_is_exit_2(capsys, tmp_path, text, argv):
 
 
 def test_print_bound_follows_the_int_str_limit(capsys, monkeypatch):
-    # 2^n has more than 30 digits from n = (10**30).bit_length() = 100 on
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 30)
-    for argv in (["q-report", "--n", "100"], ["ray", "--n-from", "6", "--n-to", "100"]):
-        code, out, err = run_cli(capsys, *argv, "--k", "1", "--d", "6")
-        assert (code, out) == (2, "")
-        assert err.startswith("polygv: n=100 is too large to print") and "below 100\n" in err
-    assert run_cli(capsys, "q-report", "--k", "1", "--d", "6", "--n", "99")[0] == 0
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
-    assert run_cli(capsys, "q-report", "--k", "1", "--d", "6", "--n", "100")[0] == 0
+    # Under a limit of 30 digits, the last n whose unlimited output has no
+    # integer wider than 30 digits must print, and every later n must exit 2
+    # without printing.
+    for argv in (["q-report", "--n"], ["ray", "--n-from", "6", "--n-to"]):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+        widths = {}
+        for n in range(88, 102):
+            code, out, _ = run_cli(capsys, *argv, str(n), "--k", "1", "--d", "6")
+            assert code == 0
+            widths[n] = max(map(len, re.findall(r"\d+", out)))
+        last = max(n for n, w in widths.items() if w <= 30)
+        assert 88 < last < 101 and all(w > 30 for n, w in widths.items() if n > last)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 30)
+        assert run_cli(capsys, *argv, str(last), "--k", "1", "--d", "6")[0] == 0
+        for n in (last + 1, 100):  # 100 = (10**30).bit_length(): rejected uncomputed
+            code, out, err = run_cli(capsys, *argv, str(n), "--k", "1", "--d", "6")
+            assert (code, out) == (2, "")
+            assert err == (
+                f"polygv: n={n} is too large to print: an entry has more than 30 digits, "
+                "the interpreter's int-to-str limit\n"
+            )
 
 
 @pytest.mark.parametrize(
@@ -280,6 +295,25 @@ def test_cli_imports_only_the_standard_library():
         env={"PYTHONPATH": SRC},
     )
     assert done.stdout.splitlines() == ["[]", "False"]
+
+
+def test_benchmark_traced_cli_call_exits_0(tmp_path):
+    """The benchmark's traced child wraps every polygv module from outside.
+
+    It reads each module from ``sys.modules`` after ``import polygv.cli`` and
+    calls ``verify.thread_count``, so a module or name it relies on that goes
+    missing fails here rather than only in a traced benchmark run.
+    """
+    summary = tmp_path / "trace.json"
+    child = Path(SRC).parent / "perfbench" / "child.py"
+    argv = ["--trace", str(summary), "cli", "q-report", "--k", "1", "--d", "6", "--n", "9"]
+    done = subprocess.run(
+        [sys.executable, str(child), *argv], capture_output=True, text=True,
+        env={"PYTHONPATH": SRC}, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    obj = json.loads(summary.read_text())
+    assert obj["calls"]["cli.cmd_q_report"] == 1 and obj["setup_s"] > 0
 
 
 def test_package_import_loads_no_submodule():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as stn
 
 from polygv.complexes import (
+    _LOW,
     APEX,
     LinkConditionError,
     SimplicialComplex,
@@ -92,7 +93,7 @@ def test_link_builds_no_closure():
     spec = DiamondSpec(1, 6, 9, 2)
     dia = diamond_boundary(spec)
     assert dia.link([APEX]) == mw_boundary(spec.base)
-    assert dia._levels is None
+    assert dia._faces is None
 
 
 def test_antistar_of_pentagon_vertex():
@@ -272,3 +273,56 @@ def test_link_matches_brute_closure(raw, data):
     else:
         with pytest.raises(ValueError):
             c.link(face)
+
+
+# -- the same kernel past the low bits of the face map -------------------------
+
+WIDE_FACET_LISTS = stn.lists(
+    stn.sets(stn.integers(1, 20), min_size=1, max_size=6), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=100)
+@given(WIDE_FACET_LISTS, stn.data())
+def test_face_map_matches_brute_closure_on_20_vertices(raw, data):
+    # up to 20 vertices, so faces reach past the face map's low bits
+    facets = [frozenset(plain(i) for i in f) for f in raw]
+    c = SimplicialComplex(facets)
+    closure = closure_of(facets)
+    top = max(len(f) for f in closure)
+    assert c.f_vector().counts == tuple(
+        sum(1 for f in closure if len(f) == s) for s in range(top + 1)
+    )
+    labels = [plain(i) for i in range(1, 22)]  # u21 is never a vertex
+    for f in closure:
+        assert c.is_face(f), f
+        for v in labels:
+            if v not in f:
+                assert c.is_face(f | {v}) == (f | {v} in closure), (f, v)
+    edges = sorted(sorted(f) for f in closure if len(f) == 2)
+    assume(edges)
+    high = [e for e in edges if c.vertices.index(e[1]) >= _LOW]
+    u, v = data.draw(stn.sampled_from(high or edges))
+    if data.draw(stn.booleans()):
+        u, v = v, u
+    edge = frozenset((u, v))
+    if link_of(closure, edge) == link_of(closure, {u}) & link_of(closure, {v}):
+        assert v not in c.contract_edge(u, v).vertices
+    else:
+        with pytest.raises(LinkConditionError):
+            c.contract_edge(u, v)
+
+
+def test_link_condition_on_vertices_past_the_low_bits():
+    # sixteen isolated vertices below a four-cycle u17..u20 and a triangle
+    # u21 u22 u23: the four-cycle contracts, the triangle's edges do not
+    pad = [[plain(i)] for i in range(1, 17)]
+    cycle = [[plain(a), plain(b)] for a, b in [(17, 18), (18, 19), (19, 20), (20, 17)]]
+    triangle = [[plain(a), plain(b)] for a, b in [(21, 22), (22, 23), (23, 21)]]
+    c = SimplicialComplex(pad + cycle + triangle)
+    assert c.vertices.index(plain(17)) >= _LOW
+    assert c.f_vector().counts == (1, 23, 7)
+    contracted = c.contract_edge(plain(17), plain(18))
+    assert contracted.f_vector().counts == (1, 22, 6)
+    with pytest.raises(LinkConditionError):
+        c.contract_edge(plain(22), plain(23))

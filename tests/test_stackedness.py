@@ -113,6 +113,38 @@ def test_oracle_equals_predicted_169():
         assert predicted == set(oracle_stacked_facets(dia, 6, 1)), a
 
 
+def literal_oracle(complex_, d, k):
+    """The stacked-facet criterion read literally, as the reference.
+
+    Every d-subset of the vertices is scanned; it is kept when each of its
+    subsets of size 1..k+2 lies in some facet.
+    """
+    support = complex_.vertices
+    bit = {v: 1 << i for i, v in enumerate(support)}
+    small = set()
+    for f in complex_.facets:
+        bits = [bit[v] for v in f]
+        for size in range(1, k + 3):
+            small.update(map(sum, combinations(bits, size)))
+    out = []
+    for S in combinations([1 << i for i in range(len(support))], d):
+        if all(sum(sub) in small for size in range(1, k + 3) for sub in combinations(S, size)):
+            out.append(frozenset(support[b.bit_length() - 1] for b in S))
+    return sorted(out, key=sorted)
+
+
+def test_oracle_equals_the_literal_scan_on_the_grid():
+    # every diamond of k <= 3, 2k+4 <= d <= 10, n <= 12: 117 of them
+    count = 0
+    for k in range(1, 4):
+        for d in range(2 * k + 4, 11):
+            for n in range(d, 13):
+                for spec, _, _, dia in diamonds(k, d, n):
+                    count += 1
+                    assert oracle_stacked_facets(dia, d, k) == literal_oracle(dia, d, k), spec
+    assert count == 117
+
+
 def test_oracle_rejects_subsets_with_missing_pairs():
     # {c1, c3} is a missing face of the a=2 diamond, so no oracle facet holds it
     dia = diamond_boundary(DiamondSpec(1, 6, 9, 2))

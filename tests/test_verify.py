@@ -42,15 +42,16 @@ def test_wrong_closed_form_fails_only_the_relation_check(monkeypatch):
 
 def test_wrong_cyclic_route_fails_only_the_lex_check(monkeypatch):
     bad = cons.DiamondSpec(1, 6, 10, 4)
-    via_cyclic = cons.lex_mw_via_cyclic
+    bad_cyclic = cons.lex_subdivision(cons.CyclicSpec(bad.base.K, bad.base.c_count), bad.a)
+    from_cyclic = cons.lex_mw_from_cyclic
 
-    def wrong_at_one(spec, a):
-        ball = via_cyclic(spec, a)
-        if (spec, a) == (bad.base, bad.a):
+    def wrong_at_one(spec, cyclic_lex):
+        ball = from_cyclic(spec, cyclic_lex)
+        if (spec, cyclic_lex) == (bad.base, bad_cyclic):
             return cons.SimplicialComplex(sorted(ball.facets, key=sorted)[1:])
         return ball
 
-    monkeypatch.setattr(cons, "lex_mw_via_cyclic", wrong_at_one)
+    monkeypatch.setattr(cons, "lex_mw_from_cyclic", wrong_at_one)
     results = _by_name(verify.check_diamond_grid())
     assert results[RELATIONS].passed and results[RELATIONS].detail == "272 cases"
     assert results[CONTRACTION].passed and results[CONTRACTION].detail == "272 cases"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .vectors import FVector
 
@@ -186,15 +186,6 @@ class SimplicialComplex:
     def _has(self, mask: int) -> bool:
         """Whether the vertex set with this bitmask is a face."""
         return bool(self._face_map().get(mask >> _LOW, 0) >> (mask & _LOW_MASK) & 1)
-
-    def _face_masks(self, min_size: int) -> Iterator[int]:
-        """Bitmasks of the faces with at least ``min_size`` vertices."""
-        for high, row in self._face_map().items():
-            row &= sum(_SIZE_ROWS[max(0, min_size - high.bit_count()) :])
-            while row:
-                low = row & -row
-                yield (high << _LOW) | (low.bit_length() - 1)
-                row ^= low
 
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.facets}

@@ -42,7 +42,6 @@ __all__ = [
     "mw_g_closed",
     "lex_subdivision",
     "lex_subdivisions",
-    "lex_mw_via_cyclic",
     "lex_mw_from_cyclic",
     "lex_range",
     "diamond_boundary",
@@ -303,14 +302,6 @@ def lex_subdivision(spec: CyclicSpec | MWSpec, a: int) -> SimplicialComplex:
         raise ValueError(f"lex index a={a} outside 1..{amax}")
     _, v, pushed, cur = next(islice(_push_chain(spec), a - 1, None))
     return _pull(v, pushed, cur)
-
-
-def lex_mw_via_cyclic(spec: MWSpec, a: int) -> SimplicialComplex:
-    """Assemble Lex_a of an MW polytope from Lex_a of its cyclic factor.
-
-    Must agree with the direct push/pull route facet for facet.
-    """
-    return lex_mw_from_cyclic(spec, lex_subdivision(CyclicSpec(spec.K, spec.c_count), a))
 
 
 def lex_mw_from_cyclic(spec: MWSpec, cyclic_lex: SimplicialComplex) -> SimplicialComplex:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .constructions import diamond_g_closed, diamonds
 from .vectors import (
@@ -358,16 +358,3 @@ def clbc_scan(items: Iterable[tuple[str, CubicalG]]) -> ClbcReport:
         if gc.entries[2] < 0:
             violations.append((name, gc.entries[2]))
     return ClbcReport(checked, tuple(violations))
-
-
-def clbc_default_items(
-    k_max: int, d_max: int, n_max: int, blind_d_max: int
-) -> Iterator[tuple[str, CubicalG]]:
-    """The scan family: every Q-spec in the grid plus the elementary polytopes."""
-    for k in range(1, k_max + 1):
-        for d in range(2 * k + 2, d_max + 1):
-            for n in range(d, n_max + 1):
-                yield f"Q(k={k},d={d},n={n})", gc_q(QSpec(k, d, n))
-    for d in range(2, blind_d_max + 1):
-        for k in range(1, d // 2 + 1):
-            yield f"blind_blind(d={d},k={k})", blind_blind_gc(d, k)

@@ -10,6 +10,7 @@ dimension d are the main source of bugs in this calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "hc_to_gc",
     "hsc_to_gsc",
     "gc_from_gsc",
-    "gc_entry_from_gsc",
     "gsc_gc_consistent",
 ]
 
@@ -138,28 +138,50 @@ class CubicalG:
             raise ValueError(f"CubicalG with d={self.d} needs {want} entries")
 
 
+def _expand(coeffs: tuple[int, ...], D: int) -> tuple[int, ...]:
+    """Coefficients of sum_{i=0..D} c_i t^i (1-t)^(D-i), by Horner steps in (1-t).
+
+    The partial sum P_i = P_{i-1} (1-t) + c_i t^i; multiplying by (1-t) is
+    one pass of neighbour differences, so no binomial coefficient is formed.
+    """
+    out: list[int] = []
+    for i in range(D + 1):
+        top = coeffs[i] - out[-1] if out else coeffs[i]
+        for j in range(i - 1, 0, -1):
+            out[j] -= out[j - 1]
+        out.append(top)
+    return tuple(out)
+
+
+def _differences(entries: tuple[int, ...], top: int) -> tuple[int, ...]:
+    """e_0, e_1 - e_0, ..., e_top - e_(top-1)."""
+    out = [entries[0]]
+    for i in range(1, top + 1):
+        out.append(entries[i] - entries[i - 1])
+    return tuple(out)
+
+
+def _unpair(seed: int, sums: tuple[int, ...]) -> tuple[int, ...]:
+    """Invert pairwise sums: x_0 = seed and x_(i+1) = s_i - x_i."""
+    out = [seed]
+    for s in sums:
+        out.append(s - out[-1])
+    return tuple(out)
+
+
 def f_to_h(f: FVector, D: int) -> HVector:
-    """h(t) = (1-t)^D f(t/(1-t)), expanded as an exact double sum.
+    """h(t) = sum_i f_(i-1) t^i (1-t)^(D-i), that is (1-t)^D f(t/(1-t)).
 
     Requires f.dim == D - 1.  The entries satisfy sum_j h_j = f_{D-1}.
     """
     if f.dim != D - 1:
         raise ValueError(f"f-vector of dim {f.dim} does not match D={D}")
-    entries = []
-    for j in range(D + 1):
-        h_j = 0
-        for i in range(j + 1):
-            h_j += (-1) ** (j - i) * comb(D - i, j - i) * f.counts[i]
-        entries.append(h_j)
-    return HVector(D, tuple(entries))
+    return HVector(D, _expand(f.counts, D))
 
 
 def h_to_g(h: HVector) -> GVector:
     """Successive differences g_0 = h_0, g_i = h_i - h_{i-1}, up to floor(D/2)."""
-    out = [h.entries[0]]
-    for i in range(1, h.D // 2 + 1):
-        out.append(h.entries[i] - h.entries[i - 1])
-    return GVector(tuple(out))
+    return GVector(_differences(h.entries, h.D // 2))
 
 
 def h_from_g_palindromic(g: GVector, D: int) -> HVector:
@@ -169,13 +191,8 @@ def h_from_g_palindromic(g: GVector, D: int) -> HVector:
     """
     if len(g.entries) != D // 2 + 1:
         raise ValueError(f"g-vector of length {len(g.entries)} does not match D={D}")
-    half = []
-    acc = 0
-    for gi in g.entries:
-        acc += gi
-        half.append(acc)
-    entries = list(half) + [half[D - i] for i in range(D // 2 + 1, D + 1)]
-    return HVector(D, tuple(entries))
+    half = list(accumulate(g.entries))
+    return HVector(D, tuple(half + half[: (D + 1) // 2][::-1]))
 
 
 def check_simplicial_DS(h: HVector) -> bool:
@@ -195,80 +212,53 @@ def f_to_hsc(f: FVector, d: int) -> ShortCubicalH:
     """
     if f.dim != d - 1:
         raise ValueError(f"f-vector of dim {f.dim} does not match cubical d={d}")
-    entries = []
-    for i in range(d):
-        v = 0
-        for j in range(i + 1):
-            v += f.counts[j + 1] * 2**j * (-1) ** (i - j) * comb(d - 1 - j, i - j)
-        entries.append(v)
-    return ShortCubicalH(d, tuple(entries))
+    coeffs = tuple(2**j * f_j for j, f_j in enumerate(f.counts[1:]))
+    return ShortCubicalH(d, _expand(coeffs, d - 1))
 
 
 def hsc_to_hc(hsc: ShortCubicalH, d: int) -> CubicalH:
     """Unroll h^sc_i = h^c_i + h^c_{i+1} from the seed h^c_0 = 2^(d-1)."""
     if hsc.d != d:
         raise ValueError(f"short cubical h with d={hsc.d} does not match d={d}")
-    entries = [2 ** (d - 1)]
-    for i in range(d):
-        entries.append(hsc.entries[i] - entries[i])
-    return CubicalH(d, tuple(entries))
+    return CubicalH(d, _unpair(2 ** (d - 1), hsc.entries))
 
 
 def hc_to_gc(hc: CubicalH) -> CubicalG:
     """g^c_0 = h^c_0, g^c_i = h^c_i - h^c_{i-1} up to floor(d/2)."""
-    out = [hc.entries[0]]
-    for i in range(1, hc.d // 2 + 1):
-        out.append(hc.entries[i] - hc.entries[i - 1])
-    return CubicalG(hc.d, tuple(out))
+    return CubicalG(hc.d, _differences(hc.entries, hc.d // 2))
 
 
 def hsc_to_gsc(hsc: ShortCubicalH) -> ShortCubicalG:
     """g^sc_0 = h^sc_0, g^sc_i = h^sc_i - h^sc_{i-1} up to floor((d-1)/2)."""
-    out = [hsc.entries[0]]
-    for i in range(1, (hsc.d - 1) // 2 + 1):
-        out.append(hsc.entries[i] - hsc.entries[i - 1])
-    return ShortCubicalG(hsc.d, tuple(out))
+    return ShortCubicalG(hsc.d, _differences(hsc.entries, (hsc.d - 1) // 2))
 
 
-def gc_entry_from_gsc(gsc: ShortCubicalG, d: int, i: int) -> int:
-    """Entry g^c_i recovered from the short cubical g-vector.
+def _gc_chain(gsc: ShortCubicalG) -> tuple[int, ...]:
+    """g^c_0, ..., g^c_(len(gsc.entries)), seeded by g^c_0 = 2^(d-1).
 
-    g^c_i = sum_{j=1..i} (-1)^(j-1) g^sc_{i-j} + (-1)^i 2^d, valid for any
-    i >= 1 with i - 1 within gsc's index range.
+    g^sc_0 = 2 g^c_0 + g^c_1 reads g^sc_0 - 2^(d-1) = g^c_0 + g^c_1, so with
+    g^sc_i = g^c_i + g^c_(i+1) the chain is one pairwise inversion.  For odd
+    d it runs one entry past floor(d/2).
     """
-    if i == 0:
-        return 2 ** (d - 1)
-    if i - 1 >= len(gsc.entries):
-        raise ValueError(f"g^c_{i} needs g^sc up to index {i - 1}")
-    total = sum((-1) ** (j - 1) * gsc.entries[i - j] for j in range(1, i + 1))
-    return total + (-1) ** i * 2**d
+    seed = 2 ** (gsc.d - 1)
+    return _unpair(seed, (gsc.entries[0] - seed,) + gsc.entries[1:])
 
 
 def gc_from_gsc(gsc: ShortCubicalG, d: int) -> CubicalG:
     """Invert the pairwise sums relating short and long cubical g-vectors."""
     if gsc.d != d:
         raise ValueError(f"short cubical g with d={gsc.d} does not match d={d}")
-    return CubicalG(d, tuple(gc_entry_from_gsc(gsc, d, i) for i in range(d // 2 + 1)))
+    return CubicalG(d, _gc_chain(gsc)[: d // 2 + 1])
 
 
 def gsc_gc_consistent(gsc: ShortCubicalG, gc: CubicalG) -> bool:
     """Re-substitution check: g^sc_0 = 2 g^c_0 + g^c_1 and g^sc_i = g^c_i + g^c_{i+1}.
 
-    Indices past floor(d/2) are recovered through gc_entry_from_gsc, so the
-    identity is verified over the whole short range even for odd d.
+    For odd d the entry past floor(d/2) is read from gsc's own chain, so the
+    identity is verified over the whole short range.
     """
     if gsc.d != gc.d:
         return False
-    d = gc.d
-
-    def gc_at(i: int) -> int:
-        if i < len(gc.entries):
-            return gc.entries[i]
-        return gc_entry_from_gsc(gsc, d, i)
-
-    if gsc.entries[0] != 2 * gc_at(0) + gc_at(1):
-        return False
-    for i in range(1, (d - 1) // 2 + 1):
-        if gsc.entries[i] != gc_at(i) + gc_at(i + 1):
-            return False
-    return True
+    x = gc.entries + _gc_chain(gsc)[len(gc.entries) :]
+    sums = [2 * x[0] + x[1]] + [x[i] + x[i + 1] for i in range(1, len(gsc.entries))]
+    return tuple(sums) == gsc.entries

@@ -91,13 +91,18 @@ def mw_specs(K_max: int, D_max: int, N_max: int) -> list[cons.MWSpec]:
     return out
 
 
-def q_specs(k_max: int, d_max: int, n_max: int) -> list[qv.QSpec]:
+def q_specs() -> list[qv.QSpec]:
     out = []
-    for k in range(1, k_max + 1):
-        for d in range(2 * k + 2, d_max + 1):
-            for n in range(d, n_max + 1):
+    for k in range(1, Q_K + 1):
+        for d in range(2 * k + 2, Q_D + 1):
+            for n in range(d, Q_N + 1):
                 out.append(qv.QSpec(k, d, n))
     return out
+
+
+def blind_specs() -> list[tuple[int, int]]:
+    """Every (d, k) with d <= 12, k <= d/2."""
+    return [(d, k) for d in range(2, 13) for k in range(1, d // 2 + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +196,7 @@ def check_cubical_ds_cubes() -> CheckResult:
 
 def check_resubstitution() -> CheckResult:
     fails = []
-    specs = q_specs(Q_K, Q_D, Q_N)
+    specs = q_specs()
     for spec in specs:
         gsc = qv.gsc_q_closed(spec)
         gc = vec.gc_from_gsc(gsc, spec.d)
@@ -571,7 +576,7 @@ def check_q_named_examples() -> CheckResult:
 
 
 def check_q_routes() -> CheckResult:
-    specs = q_specs(Q_K, Q_D, Q_N)
+    specs = q_specs()
     fails = []
     for spec in specs:
         a, b = qv.gsc_q_from_diamonds(spec), qv.gsc_q_closed(spec)
@@ -653,26 +658,26 @@ def check_ray_monotonic() -> CheckResult:
 
 
 def check_clbc() -> CheckResult:
-    report = qv.clbc_scan(qv.clbc_default_items(Q_K, Q_D, Q_N, 12))
+    """Every Q-spec of the grid, then every elementary (d, k) of check_blind_blind."""
+    items = [(f"Q(k={s.k},d={s.d},n={s.n})", qv.gc_q(s)) for s in q_specs()]
+    items += [(f"blind_blind(d={d},k={k})", qv.blind_blind_gc(d, k)) for d, k in blind_specs()]
+    report = qv.clbc_scan(items)
     fails = [] if report.ok else [f"violations: {report.violations[:3]}"]
     return _result("qvectors: g^c_2 nonnegative across families", fails, report.checked)
 
 
 def check_blind_blind() -> CheckResult:
-    """Every (d, k) with d <= 12, k <= d/2."""
     fails = []
-    tested = 0
-    for d in range(2, 13):
-        for k in range(1, d // 2 + 1):
-            tested += 1
-            gc = qv.blind_blind_gc(d, k)
-            if gc.entries[k] != 2 ** (d - k):
-                fails.append(f"elementary ({d},{k}): wrong value at index k")
-            if any(gc.entries[i] != 0 for i in range(k + 1, d // 2 + 1)):
-                fails.append(f"elementary ({d},{k}): tail not zero")
-            if gc.entries[0] != 2 ** (d - 1):
-                fails.append(f"elementary ({d},{k}): wrong constant term")
-    return _result("qvectors: elementary cubical family", fails, tested)
+    specs = blind_specs()
+    for d, k in specs:
+        gc = qv.blind_blind_gc(d, k)
+        if gc.entries[k] != 2 ** (d - k):
+            fails.append(f"elementary ({d},{k}): wrong value at index k")
+        if any(gc.entries[i] != 0 for i in range(k + 1, d // 2 + 1)):
+            fails.append(f"elementary ({d},{k}): tail not zero")
+        if gc.entries[0] != 2 ** (d - 1):
+            fails.append(f"elementary ({d},{k}): wrong constant term")
+    return _result("qvectors: elementary cubical family", fails, len(specs))
 
 
 # --------------------------------------------------------------------------
@@ -750,6 +755,12 @@ def check_stack_named_examples() -> CheckResult:
     return cases.result("stackedness: named examples")
 
 
+def _subsets(face: frozenset[cx.Label], min_size: int) -> list[tuple[cx.Label, ...]]:
+    """Every subset of ``face`` with at least ``min_size`` vertices, as a sorted tuple."""
+    ordered = sorted(face)
+    return [s for r in range(min_size, len(ordered) + 1) for s in combinations(ordered, r)]
+
+
 def check_stack_grid() -> list[CheckResult]:
     """Missing faces and stacked facets of the k = 1 diamonds in one pass.
 
@@ -779,8 +790,8 @@ def check_stack_grid() -> list[CheckResult]:
                 if any(m <= facet for facet in predicted for m in missing):
                     fac.append(f"facet contains a missing face at {at}")
                 # every face of dimension >= d-k-2 must lie in some oracle facet
-                covers = [dia._mask(facet) for facet in oracle]
-                if any(all(b & c != b for c in covers) for b in dia._face_masks(d - k - 1)):
+                covered = {s for facet in oracle for s in _subsets(facet, d - k - 1)}
+                if any(s not in covered for facet in dia.facets for s in _subsets(facet, d - k - 1)):
                     fac.append(f"boundary face not covered at {at}")
     return [
         _result("stackedness: predicted vs brute missing faces", miss, tested),

@@ -71,7 +71,8 @@ def test_criterion_04_lex_routes_commute():
     for spec in specs:
         for a in range(1, cons.lex_range(spec) + 1):
             tested += 1
-            if cons.lex_subdivision(spec, a) != cons.lex_mw_via_cyclic(spec, a):
+            cyclic_lex = cons.lex_subdivision(cons.CyclicSpec(spec.K, spec.c_count), a)
+            if cons.lex_subdivision(spec, a) != cons.lex_mw_from_cyclic(spec, cyclic_lex):
                 failures.append((spec, a))
     _report(4, "lexicographic subdivision routes agree on the grid", not failures,
             f"{tested} cases")
@@ -170,7 +171,9 @@ def test_criterion_12_elementary_family_and_clbc():
         for d in range(2, 13)
         for k in range(1, d // 2 + 1)
     )
-    report = qv.clbc_scan(qv.clbc_default_items(verify.Q_K, verify.Q_D, verify.Q_N, 12))
+    items = [(str(spec), qv.gc_q(spec)) for spec in verify.q_specs()]
+    items += [(f"({d},{k})", qv.blind_blind_gc(d, k)) for d, k in verify.blind_specs()]
+    report = qv.clbc_scan(items)
     _report(12, "elementary cubical family g^c_k = 2^(d-k) and g^c_2 >= 0 scan",
             stacked_ok and report.ok, f"{report.checked} vectors scanned")
 

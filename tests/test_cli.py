@@ -14,7 +14,7 @@ from hypothesis import strategies as hs
 
 import polygv
 from polygv import verify
-from polygv.cli import main
+from polygv.cli import build_parser, main
 
 SRC = str(Path(polygv.__file__).resolve().parents[1])
 
@@ -139,15 +139,23 @@ def test_stackedness_report(capsys):
     assert len(report["oracle_stacked_facets"]) == 6
 
 
-@pytest.mark.parametrize("grid_args", [["--grid", "full"], []], ids=["full", "default"])
+@pytest.mark.parametrize("grid_args", [["--grid", "full"]], ids=["full"])
 def test_verify_output_is_golden(grid_args):
-    """stdout, byte for byte, as committed in tests/golden; full is the default grid."""
+    """stdout, byte for byte, as committed in tests/golden."""
     done = subprocess.run(
         [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", *grid_args],
         capture_output=True, env={"PYTHONPATH": SRC},
     )
     assert done.returncode == 0
     assert done.stdout == (Path(__file__).parent / "golden" / "verify_full.txt").read_bytes()
+
+
+def test_verify_default_grid_is_full():
+    """Without --grid, verify parses to the very run the golden test makes."""
+    parser = build_parser()
+    assert parser.parse_args(["verify", "--suite", "all"]) == parser.parse_args(
+        ["verify", "--suite", "all", "--grid", "full"]
+    )
 
 
 def test_verify_other_grid_is_exit_2(capsys):
@@ -297,23 +305,31 @@ def test_cli_imports_only_the_standard_library():
     assert done.stdout.splitlines() == ["[]", "False"]
 
 
-def test_benchmark_traced_cli_call_exits_0(tmp_path):
+@pytest.mark.parametrize(
+    "cli_args,traced",
+    [
+        (["q-report", "--k", "1", "--d", "6", "--n", "9"], "cli.cmd_q_report"),
+        (["verify", "--suite", "transforms"], "verify.check_resubstitution"),
+    ],
+    ids=["q-report", "verify-transforms"],
+)
+def test_benchmark_traced_cli_call_exits_0(tmp_path, cli_args, traced):
     """The benchmark's traced child wraps every polygv module from outside.
 
     It reads each module from ``sys.modules`` after ``import polygv.cli`` and
     calls ``verify.thread_count``, so a module or name it relies on that goes
-    missing fails here rather than only in a traced benchmark run.
+    missing fails here rather than only in a traced benchmark run.  A traced
+    verify benchmark run fails when its child dies before writing the summary.
     """
     summary = tmp_path / "trace.json"
     child = Path(SRC).parent / "perfbench" / "child.py"
-    argv = ["--trace", str(summary), "cli", "q-report", "--k", "1", "--d", "6", "--n", "9"]
     done = subprocess.run(
-        [sys.executable, str(child), *argv], capture_output=True, text=True,
-        env={"PYTHONPATH": SRC}, timeout=300,
+        [sys.executable, str(child), "--trace", str(summary), "cli", *cli_args],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC}, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     obj = json.loads(summary.read_text())
-    assert obj["calls"]["cli.cmd_q_report"] == 1 and obj["setup_s"] > 0
+    assert obj["calls"][traced] == 1 and obj["setup_s"] > 0
 
 
 def test_package_import_loads_no_submodule():

@@ -197,6 +197,23 @@ def test_json_round_trip_and_determinism():
     assert obj["facets"] == [["p", "c1", "t1"], ["p", "c2", "t1"], ["c1", "c2", "t1"]]
 
 
+ANY_LABEL = (
+    stn.just(APEX)
+    | stn.builds(cvert, stn.integers(0, 30))
+    | stn.builds(tvert, stn.integers(0, 30))
+    | stn.builds(plain, stn.integers(0, 30))
+)
+
+
+@given(stn.lists(stn.sets(ANY_LABEL, max_size=6), max_size=8))
+def test_json_round_trip_of_random_complexes(facets):
+    complex_ = SimplicialComplex(facets)
+    text = complex_.to_json()
+    again = SimplicialComplex.from_json_obj(json.loads(text))
+    assert again == complex_
+    assert again.to_json() == text
+
+
 def test_relabel():
     shifted = FOUR_CYCLE.relabel({plain(i): plain(i + 10) for i in range(1, 5)})
     assert {label_str(v) for v in shifted.vertices} == {"u11", "u12", "u13", "u14"}

@@ -15,7 +15,7 @@ from polygv.constructions import (
     diamond_boundary,
     diamond_g_closed,
     diamonds,
-    lex_mw_via_cyclic,
+    lex_mw_from_cyclic,
     lex_range,
     lex_subdivision,
     lex_subdivisions,
@@ -252,7 +252,8 @@ def test_lex_commute_small_grid():
     for K, D, N in [(2, 4, 7), (2, 4, 8), (2, 5, 9), (4, 5, 9), (4, 6, 9), (3, 4, 8)]:
         spec = MWSpec(K, D, N)
         for a in range(1, lex_range(spec) + 1):
-            assert lex_subdivision(spec, a) == lex_mw_via_cyclic(spec, a), (spec, a)
+            cyclic_lex = lex_subdivision(CyclicSpec(spec.K, spec.c_count), a)
+            assert lex_subdivision(spec, a) == lex_mw_from_cyclic(spec, cyclic_lex), (spec, a)
 
 
 def _lex_by_relabeling(spec, a):

@@ -7,7 +7,6 @@ from polygv.qvectors import (
     QSpec,
     binomial_identity_check,
     blind_blind_gc,
-    clbc_default_items,
     clbc_scan,
     diamond_index_of_sign_vector,
     full_hsc_q,
@@ -197,9 +196,17 @@ def test_blind_blind_validation():
 
 
 def test_clbc_scan_families():
-    report = clbc_scan(clbc_default_items(3, 10, 14, 12))
+    # every Q(k, d, n) with k <= 3, 2k+2 <= d <= 10, n <= 14, then every elementary d <= 12
+    items = [
+        (f"Q({k},{d},{n})", gc_q(QSpec(k, d, n)))
+        for k in range(1, 4)
+        for d in range(2 * k + 2, 11)
+        for n in range(d, 15)
+    ]
+    items += [(f"({d},{k})", blind_blind_gc(d, k)) for d in range(2, 13) for k in range(1, d // 2 + 1)]
+    report = clbc_scan(items)
     assert report.ok
-    assert report.checked > 100
+    assert report.checked == 143
 
 
 def test_clbc_detector():

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as stn
 
@@ -166,6 +168,40 @@ def test_gsc_gc_consistent_detects_corruption():
     broken = CubicalG(6, (32, 448, 1089, 0))
     assert gsc_gc_consistent(gsc, gc)
     assert not gsc_gc_consistent(gsc, broken)
+    # odd d: 40 = 2*17 + 6 and 12 = 6 + 6 hold, so only g^sc_2 = g^c_2 + g^c_3
+    # rejects it, with g^c_3 = 7 - 12 + 40 - 2^5 = 3 read past floor(d/2)
+    assert not gsc_gc_consistent(ShortCubicalG(5, (40, 12, 7)), CubicalG(5, (17, 6, 6)))
+
+
+@given(stn.data())
+def test_gc_from_gsc_matches_the_alternating_sum(data):
+    d = data.draw(stn.integers(1, 40))
+    width = (d - 1) // 2 + 1
+    gsc = data.draw(stn.lists(stn.integers(-(2**45), 2**45), min_size=width, max_size=width))
+    # g^c_i = sum_{j=1..i} (-1)^(j-1) g^sc_(i-j) + (-1)^i 2^d for i >= 1
+    want = [2 ** (d - 1)] + [
+        sum((-1) ** (j - 1) * gsc[i - j] for j in range(1, i + 1)) + (-1) ** i * 2**d
+        for i in range(1, d // 2 + 1)
+    ]
+    assert gc_from_gsc(ShortCubicalG(d, tuple(gsc)), d).entries == tuple(want)
+
+
+@given(stn.lists(stn.integers(0, 10**6), min_size=1, max_size=14))
+def test_f_to_h_and_f_to_hsc_match_the_double_sums(tail):
+    counts = (1, *tail)
+    D = len(tail)
+    # h_j = sum_{i<=j} (-1)^(j-i) C(D-i, j-i) f_(i-1)
+    h = [
+        sum((-1) ** (j - i) * comb(D - i, j - i) * counts[i] for i in range(j + 1))
+        for j in range(D + 1)
+    ]
+    assert f_to_h(FVector(D - 1, counts), D).entries == tuple(h)
+    # h^sc_i = sum_{j<=i} (-1)^(i-j) C(d-1-j, i-j) 2^j f_j, with d = D
+    hsc = [
+        sum((-1) ** (i - j) * comb(D - 1 - j, i - j) * 2**j * counts[j + 1] for j in range(i + 1))
+        for i in range(D)
+    ]
+    assert f_to_hsc(FVector(D - 1, counts), D).entries == tuple(hsc)
 
 
 def test_vector_length_validation():

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable
 
 from .constructions import diamond_g_closed, diamonds
@@ -327,8 +328,6 @@ def blind_blind_gc(d: int, k: int) -> CubicalG:
     """
     if not 1 <= k <= d // 2:
         raise ValueError(f"needs 1 <= k <= floor(d/2), got k={k}, d={d}")
-    from math import comb
-
     out = [2 ** (d - 1)]
     for i in range(1, d // 2 + 1):
         out.append(sum(2 ** (d - j) * comb(j - 1, i - 1) for j in range(1, k + 1)))

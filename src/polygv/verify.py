@@ -1,17 +1,23 @@
 """Verification suites: every module invariant, each on its own fixed grid.
 
-Suites map to library modules: transforms (vector calculus), constructions
-(complex engine plus builders), qvectors, stackedness.  Each check returns
-a CheckResult; the CLI turns them into pass/fail lines and an exit code.
+Each check is registered by the ``check`` decorator under its suite
+(transforms, constructions, qvectors, stackedness) with one or more result
+names.  ``CHECKS`` keeps the checks in definition order, which is the output
+order, and ``SUITES`` is derived from it.  A check's body gets one
+``CheckResult`` per result name and tallies into it: ``expect`` and
+``raises`` count one case each, and ``case`` counts one case with any number
+of failures.  So every case count is computed and every failure is kept; the
+CLI turns the results into pass/fail lines and an exit code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import complexes as cx
 from . import constructions as cons
@@ -20,17 +26,77 @@ from . import stackedness as st
 from . import vectors as vec
 
 __all__ = [
+    "CHECKS",
     "CheckResult",
     "SUITES",
+    "check",
     "run_suite",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckResult:
+    """One named result and its tally: the cases run and every failure seen."""
+
     name: str
-    passed: bool
-    detail: str = ""
+    cases: int = 0
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(self.failures[:4]) if self.failures else f"{self.cases} cases"
+
+    def expect(self, cond: bool, what: str) -> None:
+        """One case; ``what`` names the failure if ``cond`` is false."""
+        self.cases += 1
+        if not cond:
+            self.failures.append(what)
+
+    def raises(self, fn: Callable[[], object], what: str) -> None:
+        """One case: ``fn()`` must raise ValueError; ``what`` names the failure if it does not."""
+        try:
+            fn()
+            raised = False
+        except ValueError:
+            raised = True
+        self.expect(raised, what)
+
+    def case(self, failures: Iterable[str]) -> None:
+        """One case that fails with each of ``failures``, and passes if there is none."""
+        self.cases += 1
+        self.failures += failures
+
+
+# (suite, result names) -> check, in definition order.  Each value is also the
+# module attribute of its name; perfbench/tracer.py rebinds both to one timed
+# wrapper, so a traced run times every check that run_suite calls.
+CHECKS: dict[tuple[str, tuple[str, ...]], Callable[[], CheckResult | list[CheckResult]]] = {}
+
+
+def check(suite: str, *names: str):
+    """Register the decorated body as a check of ``suite`` with one result per name.
+
+    The body takes one ``CheckResult`` per name.  The registered check takes
+    no argument and returns its result, or its list of results when it has
+    several names.
+    """
+    full = tuple(f"{suite}: {name}" for name in names)
+
+    def register(body: Callable[..., None]):
+        @functools.wraps(body)
+        def run():
+            results = [CheckResult(name) for name in full]
+            body(*results)
+            return results if len(results) > 1 else results[0]
+
+        CHECKS[suite, full] = run
+        return run
+
+    return register
 
 
 # The Q-polytope grid k <= Q_K, 2k+2 <= d <= Q_D, d <= n <= Q_N, shared by
@@ -44,37 +110,6 @@ def thread_count() -> int:
     ``perfbench/child.py`` reports this value as ``verify.threads``.
     """
     return 1
-
-
-def _result(name: str, failures: list[str], tested: int) -> CheckResult:
-    if failures:
-        return CheckResult(name, False, "; ".join(failures[:4]))
-    return CheckResult(name, True, f"{tested} cases")
-
-
-class _Cases:
-    """The assertions of a named-example check: each one counts as a case."""
-
-    def __init__(self) -> None:
-        self.fails: list[str] = []
-        self.count = 0
-
-    def expect(self, cond: bool, what: str) -> None:
-        self.count += 1
-        if not cond:
-            self.fails.append(what)
-
-    def raises(self, fn: Callable[[], object], what: str) -> None:
-        """Expect ``fn()`` to raise ValueError; ``what`` names the failure if it does not."""
-        self.count += 1
-        try:
-            fn()
-        except ValueError:
-            return
-        self.fails.append(what)
-
-    def result(self, name: str) -> CheckResult:
-        return _result(name, self.fails, self.count)
 
 
 # --------------------------------------------------------------------------
@@ -110,9 +145,9 @@ def blind_specs() -> list[tuple[int, int]]:
 # --------------------------------------------------------------------------
 
 
-def check_transform_named_examples() -> CheckResult:
-    cases = _Cases()
-    expect = cases.expect
+@check("transforms", "named examples")
+def check_transform_named_examples(r: CheckResult) -> None:
+    expect = r.expect
 
     expect(vec.mchoose(0, 0) == 1, "mchoose(0,0)")
     expect(vec.mchoose(0, 3) == 0, "mchoose(0,3)")
@@ -148,83 +183,65 @@ def check_transform_named_examples() -> CheckResult:
         lambda: vec.f_to_hsc(vec.FVector(2, (1, 8, 12, 6)), 4),
         lambda: vec.mchoose(-1, 0),
     ):
-        cases.raises(bad, "expected ValueError")
-    return cases.result("transforms: named examples")
+        r.raises(bad, "expected ValueError")
 
 
-def check_sum_h_equals_top() -> CheckResult:
-    specs = mw_specs(5, 6, 9)
-    fails = []
-    for spec in specs:
+@check("transforms", "sum of h equals facet count")
+def check_sum_h_equals_top(r: CheckResult) -> None:
+    for spec in mw_specs(5, 6, 9):
         fv = cons.mw_boundary(spec).f_vector()
         h = vec.f_to_h(fv, spec.D)
-        if sum(h.entries) != fv.counts[-1]:
-            fails.append(f"sum h != top f at {spec}")
-    return _result("transforms: sum of h equals facet count", fails, len(specs))
+        r.expect(sum(h.entries) == fv.counts[-1], f"sum h != top f at {spec}")
 
 
-def check_palindromic_roundtrip() -> CheckResult:
-    fails = []
-    tested = 0
-    rng_entries = range(0, 4)
+@check("transforms", "palindromic h/g round trip")
+def check_palindromic_roundtrip(r: CheckResult) -> None:
     for D in range(1, 7):
-        width = D // 2 + 1
-        for tail in product(rng_entries, repeat=width - 1):
+        for tail in product(range(0, 4), repeat=D // 2):
             g = vec.GVector((1,) + tail)
             h = vec.h_from_g_palindromic(g, D)
-            tested += 1
-            if not vec.check_simplicial_DS(h):
-                fails.append(f"reflection not palindromic D={D} g={g.entries}")
-            if vec.h_to_g(h) != g:
-                fails.append(f"roundtrip failed D={D} g={g.entries}")
-    return _result("transforms: palindromic h/g round trip", fails, tested)
+            r.case(f"{what} D={D} g={g.entries}" for ok, what in (
+                (vec.check_simplicial_DS(h), "reflection not palindromic"),
+                (vec.h_to_g(h) == g, "roundtrip failed"),
+            ) if not ok)
 
 
-def check_cubical_ds_cubes() -> CheckResult:
-    fails = []
+@check("transforms", "cubical DS on cube boundaries")
+def check_cubical_ds_cubes(r: CheckResult) -> None:
     for d in range(2, Q_D + 1):
         counts = (1,) + tuple(comb(d, j) * 2 ** (d - j) for j in range(d))
-        hsc = vec.f_to_hsc(vec.FVector(d - 1, counts), d)
-        hc = vec.hsc_to_hc(hsc, d)
-        if not vec.check_cubical_DS(hc):
-            fails.append(f"cubical DS fails for the {d}-cube")
+        hc = vec.hsc_to_hc(vec.f_to_hsc(vec.FVector(d - 1, counts), d), d)
         gc = vec.hc_to_gc(hc)
-        if gc.entries != (2 ** (d - 1),) + (0,) * (d // 2):
-            fails.append(f"gc of the {d}-cube is {gc.entries}")
-    return _result("transforms: cubical DS on cube boundaries", fails, Q_D - 1)
+        r.case(what for ok, what in (
+            (vec.check_cubical_DS(hc), f"cubical DS fails for the {d}-cube"),
+            (gc.entries == (2 ** (d - 1),) + (0,) * (d // 2), f"gc of the {d}-cube is {gc.entries}"),
+        ) if not ok)
 
 
-def check_resubstitution() -> CheckResult:
-    fails = []
-    specs = q_specs()
-    for spec in specs:
+@check("transforms", "short/long g re-substitution")
+def check_resubstitution(r: CheckResult) -> None:
+    for spec in q_specs():
         gsc = qv.gsc_q_closed(spec)
         gc = vec.gc_from_gsc(gsc, spec.d)
-        if not vec.gsc_gc_consistent(gsc, gc):
-            fails.append(f"resubstitution fails for {spec}")
+        r.expect(vec.gsc_gc_consistent(gsc, gc), f"resubstitution fails for {spec}")
     # arbitrary vectors: the inversion is algebraic, not family-specific
     for d in (4, 5, 6, 7):
         for tail in product(range(-2, 3), repeat=(d - 1) // 2):
             gsc = vec.ShortCubicalG(d, (7,) + tail)
             gc = vec.gc_from_gsc(gsc, d)
-            if not vec.gsc_gc_consistent(gsc, gc):
-                fails.append(f"resubstitution fails for arbitrary d={d} {gsc.entries}")
-    return _result("transforms: short/long g re-substitution", fails, len(specs))
+            r.expect(vec.gsc_gc_consistent(gsc, gc), f"resubstitution fails for arbitrary d={d} {gsc.entries}")
 
 
-def check_mchoose_recurrence() -> CheckResult:
-    fails = []
-    tested = 0
+@check("transforms", "multichoose recurrence")
+def check_mchoose_recurrence(r: CheckResult) -> None:
     for m in range(1, 20):
         for i in range(1, 20):
-            tested += 1
-            if vec.mchoose(m, i) != vec.mchoose(m - 1, i) + vec.mchoose(m, i - 1):
-                fails.append(f"recurrence fails at ({m},{i})")
+            r.expect(
+                vec.mchoose(m, i) == vec.mchoose(m - 1, i) + vec.mchoose(m, i - 1),
+                f"recurrence fails at ({m},{i})",
+            )
     for k in range(1, 10):
-        tested += 1
-        if vec.mchoose(0, k) != 0:
-            fails.append(f"mchoose(0,{k})")
-    return _result("transforms: multichoose recurrence", fails, tested)
+        r.expect(vec.mchoose(0, k) == 0, f"mchoose(0,{k})")
 
 
 # --------------------------------------------------------------------------
@@ -232,9 +249,9 @@ def check_mchoose_recurrence() -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def check_construction_named_examples() -> CheckResult:
-    cases = _Cases()
-    expect = cases.expect
+@check("constructions", "named examples")
+def check_construction_named_examples(r: CheckResult) -> None:
+    expect = r.expect
 
     pent = cons.cyclic_facets(2, 5)
     want = {frozenset({cx.cvert(a), cx.cvert(b)}) for a, b in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]}
@@ -252,7 +269,7 @@ def check_construction_named_examples() -> CheckResult:
     expect(not cons.cyclic_is_face({2, 4}, 2, 6), "{2,4} non-face of C(2,6)")
     expect(cons.cyclic_is_face({1, 6}, 2, 6), "{1,6} face of C(2,6)")
     expect(cons.cyclic_is_face({2, 3}, 2, 6), "{2,3} face of C(2,6)")
-    cases.raises(lambda: cons.cyclic_is_face({1, 2, 3}, 2, 6), "oversized subset accepted")
+    r.raises(lambda: cons.cyclic_is_face({1, 2, 3}, 2, 6), "oversized subset accepted")
 
     mw = cons.mw_boundary(cons.MWSpec(2, 4, 7))
     expect(len(mw.vertices) == 7, "MW(2,4,7) vertex count")
@@ -303,36 +320,32 @@ def check_construction_named_examples() -> CheckResult:
     expect(len(square.facets) == 4 and square.dim == 1, "join of two 0-spheres")
     cone = cx.SimplicialComplex([[cx.plain(9)]]).join(pent)
     expect(len(cone.facets) == 5 and cone.dim == 2, "cone over the pentagon")
-    cases.raises(lambda: pent.join(pent), "join with shared vertices accepted")
+    r.raises(lambda: pent.join(pent), "join with shared vertices accepted")
 
     cyc4 = cx.SimplicialComplex(
         [[cx.plain(1), cx.plain(2)], [cx.plain(2), cx.plain(3)], [cx.plain(3), cx.plain(4)], [cx.plain(4), cx.plain(1)]]
     )
     tri = cyc4.contract_edge(cx.plain(1), cx.plain(2))
     expect(len(tri.facets) == 3 and tri.dim == 1, "contract 4-cycle to triangle")
-    cases.raises(
+    r.raises(
         lambda: cyc4.contract_edge(cx.plain(1), cx.plain(3)), "contraction of a non-edge accepted"
     )
-    return cases.result("constructions: named examples")
 
 
-def check_gale_crosscheck() -> CheckResult:
+@check("constructions", "Gale face criterion vs downward closure")
+def check_gale_crosscheck(r: CheckResult) -> None:
     """Every subset of size <= K of C(K, m), K <= 6, m <= 12."""
-    fails = []
-    tested = 0
     for K in range(1, 7):
         for m in range(K + 1, 13):
             cyclic = cons.cyclic_facets(K, m)
             for size in range(0, K + 1):
                 for S in combinations(range(1, m + 1), size):
-                    tested += 1
-                    in_closure = cyclic.is_face(cx.cvert(i) for i in S)
-                    if in_closure != cons.cyclic_is_face(S, K, m):
-                        fails.append(f"criterion mismatch K={K} m={m} S={S}")
-    return _result("constructions: Gale face criterion vs downward closure", fails, tested)
+                    agree = cyclic.is_face(cx.cvert(i) for i in S) == cons.cyclic_is_face(S, K, m)
+                    # 13599 cases: format the message only for a mismatch
+                    r.expect(agree, "" if agree else f"criterion mismatch K={K} m={m} S={S}")
 
 
-def _mw_spec_ok(spec: cons.MWSpec) -> list[str]:
+def _mw_fails(spec: cons.MWSpec) -> list[str]:
     fails = []
     b = cons.mw_boundary(spec)
     if not b.is_pure() or b.dim != spec.D - 1:
@@ -348,26 +361,25 @@ def _mw_spec_ok(spec: cons.MWSpec) -> list[str]:
     return fails
 
 
-def check_mw_closed_form() -> CheckResult:
-    specs = mw_specs(5, 8, 12)
-    fails = [msg for spec in specs for msg in _mw_spec_ok(spec)]
-    return _result("constructions: MW closed-form g and DS", fails, len(specs))
+@check("constructions", "MW closed-form g and DS")
+def check_mw_closed_form(r: CheckResult) -> None:
+    for spec in mw_specs(5, 8, 12):
+        r.case(_mw_fails(spec))
 
 
-def check_mw_vertex_link() -> CheckResult:
+@check("constructions", "vertex link is the lower MW polytope")
+def check_mw_vertex_link(r: CheckResult) -> None:
     """MW(2k, D, N) for k <= 2, D <= 7, N <= 11."""
-    specs = [(k, D, N) for k in (1, 2) for D in range(2 * k, 8) for N in range(D + 1, 12)]
-    fails = []
-    for k, D, N in specs:
-        spec = cons.MWSpec(2 * k, D, N)
-        link = cons.mw_boundary(spec).link([cx.cvert(1)])
-        shifted = link.relabel(
-            {cx.cvert(i): cx.cvert(i - 1) for i in range(2, spec.c_count + 1)}
-        )
-        small = cons.mw_boundary(cons.MWSpec(2 * k - 1, D - 1, N - 1))
-        if shifted != small:
-            fails.append(f"vertex-link reduction fails at (2k={2*k}, D={D}, N={N})")
-    return _result("constructions: vertex link is the lower MW polytope", fails, len(specs))
+    for k in (1, 2):
+        for D in range(2 * k, 8):
+            for N in range(D + 1, 12):
+                spec = cons.MWSpec(2 * k, D, N)
+                link = cons.mw_boundary(spec).link([cx.cvert(1)])
+                shifted = link.relabel(
+                    {cx.cvert(i): cx.cvert(i - 1) for i in range(2, spec.c_count + 1)}
+                )
+                small = cons.mw_boundary(cons.MWSpec(2 * k - 1, D - 1, N - 1))
+                r.expect(shifted == small, f"vertex-link reduction fails at (2k={2*k}, D={D}, N={N})")
 
 
 def _lex_fails(
@@ -449,7 +461,15 @@ def _contraction_fails(
     return fails
 
 
-def check_diamond_grid() -> list[CheckResult]:
+
+
+@check(
+    "constructions",
+    "lexicographic subdivisions (both routes)",
+    "diamond f-relation and closed-form g",
+    "edge contraction onto the previous diamond",
+)
+def check_diamond_grid(lex: CheckResult, rel: CheckResult, con: CheckResult) -> None:
     """Lex subdivisions, diamond relations and contractions in one pass over the grid.
 
     The grid is k <= 3, d <= 10, n <= 12.  For each (k, d) the layers
@@ -458,10 +478,6 @@ def check_diamond_grid() -> list[CheckResult]:
     capped once.  The contraction of (k, d, n, a) lands on (k, d, n-1, a-1),
     so only the previous layer's diamonds are kept.  Each of the three checks gets its own result.
     """
-    lex: list[str] = []
-    rel: list[str] = []
-    con: list[str] = []
-    tested = 0
     for k in range(1, 4):
         for d in range(2 * k + 2, 11):
             previous: list[cx.SimplicialComplex] = []
@@ -474,27 +490,20 @@ def check_diamond_grid() -> list[CheckResult]:
                 ):
                     if spec.a == 1:
                         h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), d - 3).entries
-                    tested += 1
-                    lex += _lex_fails(spec, rim, ball, cyclic_lex)
-                    rel += _relation_fails(spec, rim, ball, dia)
-                    con += _contraction_fails(spec, dia, previous, h_lk)
+                    lex.case(_lex_fails(spec, rim, ball, cyclic_lex))
+                    rel.case(_relation_fails(spec, rim, ball, dia))
+                    con.case(_contraction_fails(spec, dia, previous, h_lk))
                     layer.append(dia)
                 previous = layer
-    return [
-        _result("constructions: lexicographic subdivisions (both routes)", lex, tested),
-        _result("constructions: diamond f-relation and closed-form g", rel, tested),
-        _result("constructions: edge contraction onto the previous diamond", con, tested),
-    ]
 
 
-def check_join_f_polynomial() -> CheckResult:
+@check("constructions", "join multiplies f-polynomials")
+def check_join_f_polynomial(r: CheckResult) -> None:
     pent = cons.cyclic_facets(2, 5)
     tetra = cx.simplex_boundary([cx.tvert(i) for i in range(1, 5)])
     edge = cx.simplex_complex([cx.plain(1), cx.plain(2)])
     s0 = cx.SimplicialComplex([[cx.plain(3)], [cx.plain(4)]])
-    pairs = [(pent, tetra), (pent, edge), (tetra, s0), (edge, s0)]
-    fails = []
-    for a, b in pairs:
+    for a, b in [(pent, tetra), (pent, edge), (tetra, s0), (edge, s0)]:
         joined = a.join(b)
         pa, pb = a.f_vector().counts, b.f_vector().counts
         prod = [0] * (len(pa) + len(pb) - 1)
@@ -503,32 +512,25 @@ def check_join_f_polynomial() -> CheckResult:
                 prod[i + j] += va * vb
         got = list(joined.f_vector().counts)
         got += [0] * (len(prod) - len(got))
-        if got != prod:
-            fails.append("join f-polynomial product fails")
-    return _result("constructions: join multiplies f-polynomials", fails, len(pairs))
+        r.expect(got == prod, "join f-polynomial product fails")
 
 
-def check_face_monotonicity() -> CheckResult:
+@check("constructions", "removing a facet never adds faces")
+def check_face_monotonicity(r: CheckResult) -> None:
     complexes = [
         cons.mw_boundary(cons.MWSpec(2, 4, 7)),
         cons.cyclic_facets(2, 6),
         cons.cyclic_facets(3, 6),
     ]
-    fails = []
-    tested = 0
     for c in complexes:
         base_counts = c.f_vector().counts
         for facet in c.canonical_facets():
             rest = [f for f in c.facets if f != frozenset(facet)]
-            smaller = cx.SimplicialComplex(rest)
-            small_counts = smaller.f_vector().counts
-            tested += 1
-            for idx in range(len(base_counts)):
-                lo = small_counts[idx] if idx < len(small_counts) else 0
-                if lo > base_counts[idx]:
-                    fails.append("face count grew after removing a facet")
-                    break
-    return _result("constructions: removing a facet never adds faces", fails, tested)
+            small_counts = cx.SimplicialComplex(rest).f_vector().counts
+            r.expect(
+                all(lo <= hi for lo, hi in zip(small_counts, base_counts)),
+                "face count grew after removing a facet",
+            )
 
 
 # --------------------------------------------------------------------------
@@ -536,9 +538,9 @@ def check_face_monotonicity() -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def check_q_named_examples() -> CheckResult:
-    cases = _Cases()
-    expect = cases.expect
+@check("qvectors", "named examples")
+def check_q_named_examples(r: CheckResult) -> None:
+    expect = r.expect
 
     hist = qv.vertex_figure_histogram(9, 6).as_dict()
     expect(hist == {1: 256, 2: 128, 3: 64, 4: 64}, "histogram (9,6)")
@@ -572,112 +574,96 @@ def check_q_named_examples() -> CheckResult:
 
     detector = qv.clbc_scan([("bad", vec.CubicalG(6, (32, 5, -1, 0)))])
     expect(not detector.ok and detector.violations[0] == ("bad", -1), "clbc detector")
-    return cases.result("qvectors: named examples")
 
 
-def check_q_routes() -> CheckResult:
-    specs = q_specs()
-    fails = []
-    for spec in specs:
-        a, b = qv.gsc_q_from_diamonds(spec), qv.gsc_q_closed(spec)
-        if a != b:
-            fails.append(f"{spec}: gsc routes disagree")
-        ga, gb = qv.gc_q_via_gsc(spec), qv.gc_q_closed(spec)
-        if ga != gb:
-            fails.append(f"{spec}: gc routes disagree")
-        if spec.d >= 2 * spec.k + 4 and gb.entries[spec.k + 2] != 0:
-            fails.append(f"{spec}: g^c_(k+2) is nonzero")
+@check("qvectors", "route agreement and cubical DS")
+def check_q_routes(r: CheckResult) -> None:
+    for spec in q_specs():
+        gsc, gc = qv.gsc_q_closed(spec), qv.gc_q_closed(spec)
         hsc = qv.full_hsc_q(spec)
-        if vec.hsc_to_gsc(hsc) != b:
-            fails.append(f"{spec}: full h^sc disagrees with gsc")
         hc = vec.hsc_to_hc(hsc, spec.d)
-        if not vec.check_cubical_DS(hc):
-            fails.append(f"{spec}: cubical DS fails")
-        if vec.hc_to_gc(hc) != gb:
-            fails.append(f"{spec}: full h^c disagrees with gc")
-    return _result("qvectors: route agreement and cubical DS", fails, len(specs))
+        r.case(f"{spec}: {what}" for ok, what in (
+            (qv.gsc_q_from_diamonds(spec) == gsc, "gsc routes disagree"),
+            (qv.gc_q_via_gsc(spec) == gc, "gc routes disagree"),
+            (spec.d < 2 * spec.k + 4 or gc.entries[spec.k + 2] == 0, "g^c_(k+2) is nonzero"),
+            (vec.hsc_to_gsc(hsc) == gsc, "full h^sc disagrees with gsc"),
+            (vec.check_cubical_DS(hc), "cubical DS fails"),
+            (vec.hc_to_gc(hc) == gc, "full h^c disagrees with gc"),
+        ) if not ok)
 
 
-def check_q_route_c() -> CheckResult:
-    specs = [
-        qv.QSpec(k, d, n)
-        for k in (1,)
-        for d in (4, 6)
-        for n in range(d, d + 4)
-    ]
-    fails = [
-        f"{spec}: complex route disagrees with closed form"
-        for spec in specs
-        if qv.gsc_q_from_complexes(spec) != qv.gsc_q_closed(spec)
-    ]
-    return _result("qvectors: explicit-complex route", fails, len(specs))
+@check("qvectors", "explicit-complex route")
+def check_q_route_c(r: CheckResult) -> None:
+    for d in (4, 6):
+        for n in range(d, d + 4):
+            spec = qv.QSpec(1, d, n)
+            r.expect(
+                qv.gsc_q_from_complexes(spec) == qv.gsc_q_closed(spec),
+                f"{spec}: complex route disagrees with closed form",
+            )
 
 
-def check_histogram() -> CheckResult:
+def _histogram_fails(n: int, d: int) -> list[str]:
     fails = []
-    tested = 0
+    hist = qv.vertex_figure_histogram(n, d)
+    if hist.total() != 2**n:
+        fails.append(f"histogram ({n},{d}) does not partition 2^n")
+    for a, count in hist.counts:
+        want = 2**d if a == n - d + 1 else 2 ** (n - a)
+        if count != want:
+            fails.append(f"histogram ({n},{d}) wrong count at a={a}")
+    if qv.vertex_figure_histogram_brute(n, d).counts != hist.counts:
+        fails.append(f"histogram ({n},{d}) differs from enumeration")
+    return fails
+
+
+@check("qvectors", "vertex-figure histogram")
+def check_histogram(r: CheckResult) -> None:
     for d in range(2, Q_D + 1):
         for n in range(d, Q_N + 1):
-            tested += 1
-            hist = qv.vertex_figure_histogram(n, d)
-            if hist.total() != 2**n:
-                fails.append(f"histogram ({n},{d}) does not partition 2^n")
-            for a, count in hist.counts:
-                want = 2**d if a == n - d + 1 else 2 ** (n - a)
-                if count != want:
-                    fails.append(f"histogram ({n},{d}) wrong count at a={a}")
-            if qv.vertex_figure_histogram_brute(n, d).counts != hist.counts:
-                fails.append(f"histogram ({n},{d}) differs from enumeration")
-    return _result("qvectors: vertex-figure histogram", fails, tested)
+            r.case(_histogram_fails(n, d))
 
 
-def check_binomial_identity() -> CheckResult:
+@check("qvectors", "closing binomial identity")
+def check_binomial_identity(r: CheckResult) -> None:
     """Exhaustive for k <= 6, m <= 30."""
-    fails = []
-    tested = 0
     for k in range(1, 7):
         for m in range(0, 31):
-            tested += 1
-            r = qv.binomial_identity_check(k, m)
-            if not r.equal:
-                fails.append(f"identity fails at (k={k}, m={m})")
-    return _result("qvectors: closing binomial identity", fails, tested)
+            r.expect(qv.binomial_identity_check(k, m).equal, f"identity fails at (k={k}, m={m})")
 
 
-def check_ray_monotonic() -> CheckResult:
-    fails = []
-    pairs = [(1, 6), (1, 8), (2, 8), (2, 10), (3, 10)]
-    for k, d in pairs:
-        rows = qv.ray_convergence_report(k, d, range(d + 1, d + 25))
-        values = [r.normalized[k] for r in rows]
-        if any(b < a for a, b in zip(values, values[1:])):
-            fails.append(f"dominant coordinate not monotone for (k={k}, d={d})")
-        if values and values[-1] > 1:
-            fails.append(f"dominant coordinate exceeds 1 for (k={k}, d={d})")
-    return _result("qvectors: dominant ray coordinate is monotone", fails, len(pairs))
+@check("qvectors", "dominant ray coordinate is monotone")
+def check_ray_monotonic(r: CheckResult) -> None:
+    for k, d in [(1, 6), (1, 8), (2, 8), (2, 10), (3, 10)]:
+        values = [row.normalized[k] for row in qv.ray_convergence_report(k, d, range(d + 1, d + 25))]
+        r.case(f"dominant coordinate {what} for (k={k}, d={d})" for ok, what in (
+            (all(a <= b for a, b in zip(values, values[1:])), "not monotone"),
+            (not values or values[-1] <= 1, "exceeds 1"),
+        ) if not ok)
 
 
-def check_clbc() -> CheckResult:
-    """Every Q-spec of the grid, then every elementary (d, k) of check_blind_blind."""
+@check("qvectors", "elementary cubical family")
+def check_blind_blind(r: CheckResult) -> None:
+    for d, k in blind_specs():
+        gc = qv.blind_blind_gc(d, k).entries
+        r.case(f"elementary ({d},{k}): {what}" for ok, what in (
+            (gc[k] == 2 ** (d - k), "wrong value at index k"),
+            (all(gc[i] == 0 for i in range(k + 1, d // 2 + 1)), "tail not zero"),
+            (gc[0] == 2 ** (d - 1), "wrong constant term"),
+        ) if not ok)
+
+
+@check("qvectors", "g^c_2 nonnegative across families")
+def check_clbc(r: CheckResult) -> None:
+    """Every Q-spec of the grid, then every elementary (d, k) of check_blind_blind.
+
+    A case is a vector that ``clbc_scan`` checked; each violation is a failure.
+    """
     items = [(f"Q(k={s.k},d={s.d},n={s.n})", qv.gc_q(s)) for s in q_specs()]
     items += [(f"blind_blind(d={d},k={k})", qv.blind_blind_gc(d, k)) for d, k in blind_specs()]
     report = qv.clbc_scan(items)
-    fails = [] if report.ok else [f"violations: {report.violations[:3]}"]
-    return _result("qvectors: g^c_2 nonnegative across families", fails, report.checked)
-
-
-def check_blind_blind() -> CheckResult:
-    fails = []
-    specs = blind_specs()
-    for d, k in specs:
-        gc = qv.blind_blind_gc(d, k)
-        if gc.entries[k] != 2 ** (d - k):
-            fails.append(f"elementary ({d},{k}): wrong value at index k")
-        if any(gc.entries[i] != 0 for i in range(k + 1, d // 2 + 1)):
-            fails.append(f"elementary ({d},{k}): tail not zero")
-        if gc.entries[0] != 2 ** (d - 1):
-            fails.append(f"elementary ({d},{k}): wrong constant term")
-    return _result("qvectors: elementary cubical family", fails, len(specs))
+    r.cases += report.checked
+    r.failures += [f"{name}: g^c_2 = {value}" for name, value in report.violations]
 
 
 # --------------------------------------------------------------------------
@@ -685,9 +671,9 @@ def check_blind_blind() -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def check_stack_named_examples() -> CheckResult:
-    cases = _Cases()
-    expect = cases.expect
+@check("stackedness", "named examples")
+def check_stack_named_examples(r: CheckResult) -> None:
+    expect = r.expect
 
     def cset(*idx: int) -> frozenset:
         return frozenset(cx.cvert(i) for i in idx)
@@ -751,8 +737,7 @@ def check_stack_named_examples() -> CheckResult:
     expect(w.face == cset(1, 2, 3) | tset, "witness face (1,6,9)")
     expect(w.face_type_in_a == st.FACET_II and w.face_type_in_b == st.UNCLASSIFIED, "witness tags")
     expect(st.incompatibility_witness(2, 8, 12) is not None, "witness (2,8,12)")
-    cases.raises(lambda: st.incompatibility_witness(1, 6, 6), "witness produced with n=d")
-    return cases.result("stackedness: named examples")
+    r.raises(lambda: st.incompatibility_witness(1, 6, 6), "witness produced with n=d")
 
 
 def _subsets(face: frozenset[cx.Label], min_size: int) -> list[tuple[cx.Label, ...]]:
@@ -761,130 +746,73 @@ def _subsets(face: frozenset[cx.Label], min_size: int) -> list[tuple[cx.Label, .
     return [s for r in range(min_size, len(ordered) + 1) for s in combinations(ordered, r)]
 
 
-def check_stack_grid() -> list[CheckResult]:
+@check("stackedness", "predicted vs brute missing faces", "predicted vs oracle stacked facets")
+def check_stack_grid(miss: CheckResult, fac: CheckResult) -> None:
     """Missing faces and stacked facets of the k = 1 diamonds in one pass.
 
     The grid is d in (6, 8), d <= n <= d+4.  Each (d, n) layer comes from
     one ``cons.diamonds`` stream.  A diamond's predicted missing faces are
     computed once and read by both checks, which each get their own result.
     """
-    miss: list[str] = []
-    fac: list[str] = []
-    tested = 0
     for d in (6, 8):
         for n in range(d, d + 5):
             for spec, _, _, dia in cons.diamonds(1, d, n):
-                tested += 1
                 k, a = spec.k, spec.a
                 at = f"(k={k}, d={d}, n={n}, a={a})"
                 missing = {cf.vertices for cf in st.predicted_missing_faces(k, d, n, a)}
                 brute = set(st.brute_missing_faces(dia, k + 2))
-                if missing != brute:
-                    miss.append(f"missing faces differ at {at}")
-                elif any(len(f) <= k for f in brute):
-                    miss.append(f"neighborliness violated at {at}")
+                miss.expect(
+                    missing == brute and all(len(f) > k for f in brute),
+                    f"missing faces differ at {at}" if missing != brute else f"neighborliness violated at {at}",
+                )
                 predicted = {cf.vertices for cf in st.predicted_stacked_facets(k, d, n, a)}
                 oracle = set(st.oracle_stacked_facets(dia, d, k))
-                if predicted != oracle:
-                    fac.append(f"stacked facets differ at {at}")
-                if any(m <= facet for facet in predicted for m in missing):
-                    fac.append(f"facet contains a missing face at {at}")
                 # every face of dimension >= d-k-2 must lie in some oracle facet
                 covered = {s for facet in oracle for s in _subsets(facet, d - k - 1)}
-                if any(s not in covered for facet in dia.facets for s in _subsets(facet, d - k - 1)):
-                    fac.append(f"boundary face not covered at {at}")
-    return [
-        _result("stackedness: predicted vs brute missing faces", miss, tested),
-        _result("stackedness: predicted vs oracle stacked facets", fac, tested),
-    ]
+                fac.case(f"{what} at {at}" for ok, what in (
+                    (predicted == oracle, "stacked facets differ"),
+                    (not any(m <= facet for facet in predicted for m in missing), "facet contains a missing face"),
+                    (all(s in covered for facet in dia.facets for s in _subsets(facet, d - k - 1)),
+                     "boundary face not covered"),
+                ) if not ok)
 
 
-def check_stack_witness() -> CheckResult:
-    specs = []
+@check("stackedness", "incompatibility witness on the grid")
+def check_stack_witness(r: CheckResult) -> None:
     for k in (1, 2):
         for d in range(2 * k + 4, Q_D + 1):
             for n in range(d + 1, Q_N + 1):
-                specs.append((k, d, n))
-    fails = []
-    for k, d, n in specs:
-        w = st.incompatibility_witness(k, d, n)
-        if not (w.a < w.b and w.face_type_in_a == st.FACET_II and w.face_type_in_b == st.UNCLASSIFIED):
-            fails.append(f"witness invalid at (k={k}, d={d}, n={n})")
-    return _result("stackedness: incompatibility witness on the grid", fails, len(specs))
+                w = st.incompatibility_witness(k, d, n)
+                r.expect(
+                    w.a < w.b and w.face_type_in_a == st.FACET_II and w.face_type_in_b == st.UNCLASSIFIED,
+                    f"witness invalid at (k={k}, d={d}, n={n})",
+                )
 
 
-def check_cube_graph() -> CheckResult:
-    fails = []
-    pairs = [(3, 2), (4, 2), (4, 3)]
-    for n, m in pairs:
-        if not st.cube_graph_face_check(n, m):
-            fails.append(f"cube graph check fails at ({n},{m})")
-        if len(st.cube_subgraph_images(n, m)) != st.cube_face_count(n, m):
-            fails.append(f"subcube image count differs at ({n},{m})")
-    return _result("stackedness: cube subgraphs are faces", fails, len(pairs))
+@check("stackedness", "cube subgraphs are faces")
+def check_cube_graph(r: CheckResult) -> None:
+    for n, m in [(3, 2), (4, 2), (4, 3)]:
+        r.case(f"{what} at ({n},{m})" for ok, what in (
+            (st.cube_graph_face_check(n, m), "cube graph check fails"),
+            (len(st.cube_subgraph_images(n, m)) == st.cube_face_count(n, m), "subcube image count differs"),
+        ) if not ok)
 
 
 # --------------------------------------------------------------------------
-# suite registry
+# suites
 # --------------------------------------------------------------------------
 
 
-def suite_transforms() -> list[CheckResult]:
-    return [
-        check_transform_named_examples(),
-        check_sum_h_equals_top(),
-        check_palindromic_roundtrip(),
-        check_cubical_ds_cubes(),
-        check_resubstitution(),
-        check_mchoose_recurrence(),
-    ]
-
-
-def suite_constructions() -> list[CheckResult]:
-    return [
-        check_construction_named_examples(),
-        check_gale_crosscheck(),
-        check_mw_closed_form(),
-        check_mw_vertex_link(),
-        *check_diamond_grid(),
-        check_join_f_polynomial(),
-        check_face_monotonicity(),
-    ]
-
-
-def suite_qvectors() -> list[CheckResult]:
-    return [
-        check_q_named_examples(),
-        check_q_routes(),
-        check_q_route_c(),
-        check_histogram(),
-        check_binomial_identity(),
-        check_ray_monotonic(),
-        check_blind_blind(),
-        check_clbc(),
-    ]
-
-
-def suite_stackedness() -> list[CheckResult]:
-    return [
-        check_stack_named_examples(),
-        *check_stack_grid(),
-        check_stack_witness(),
-        check_cube_graph(),
-    ]
-
-
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
-    "transforms": suite_transforms,
-    "constructions": suite_constructions,
-    "qvectors": suite_qvectors,
-    "stackedness": suite_stackedness,
-}
+SUITES: tuple[str, ...] = tuple(dict.fromkeys(suite for suite, _ in CHECKS))
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        return [r for suite in SUITES.values() for r in suite()]
-    if name not in SUITES:
+    """Run every check of suite ``name`` ("all" for every suite), in registry order."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name]()
+    results: list[CheckResult] = []
+    for (suite, names), run in CHECKS.items():
+        if name in ("all", suite):
+            out = run()
+            results += out if len(names) > 1 else [out]
+    return results

@@ -1,10 +1,19 @@
-"""Fault injection into the verify checks: a wrong answer at one spec must
-fail exactly the check that reads it, and name that spec."""
+"""The verify registry, and fault injection into its checks: a wrong answer
+at one spec must fail exactly the check that reads it, name that spec, and
+keep every failure."""
+
+import re
+from pathlib import Path
+
+import pytest
 
 from polygv import constructions as cons
+from polygv import qvectors as qv
 from polygv import stackedness as st
 from polygv import verify
-from polygv.vectors import GVector
+from polygv.vectors import CubicalG, GVector, ShortCubicalG
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_full.txt"
 
 LEX, RELATIONS, CONTRACTION = (
     "constructions: lexicographic subdivisions (both routes)",
@@ -101,3 +110,61 @@ def test_stack_grid_builds_one_rim_per_layer(monkeypatch):
     assert all(r.passed for r in results)
     # one per (d, n): d in (6, 8), n = d..d+4
     assert len(calls) == len(set(calls)) == 10
+
+
+@pytest.fixture(scope="module")
+def all_results():
+    return verify.run_suite("all")
+
+
+def test_run_suite_all_gives_the_golden_names_in_order(all_results):
+    golden = re.findall(r"^PASS  (.*) \(\d+ cases\)$", GOLDEN.read_text(), re.M)
+    names = [r.name for r in all_results]
+    assert len(golden) == 28
+    assert names == golden
+    assert len(set(names)) == len(names)
+
+
+def test_suites_concatenate_to_all(all_results):
+    assert [r for suite in verify.SUITES for r in verify.run_suite(suite)] == all_results
+
+
+def test_every_module_check_is_registered_once():
+    module_checks = {fn for name, fn in vars(verify).items() if name.startswith("check_")}
+    registered = list(verify.CHECKS.values())
+    assert len(registered) == len(set(registered)) == len(module_checks)
+    assert set(registered) == module_checks
+
+
+def test_check_keeps_every_failure(monkeypatch):
+    bad = [spec for spec in verify.q_specs() if spec.k == 1 and spec.n == spec.d + 1]
+    from_diamonds = qv.gsc_q_from_diamonds
+
+    def wrong_on_bad(spec):
+        g = from_diamonds(spec)
+        if spec in bad:
+            return ShortCubicalG(g.d, (g.entries[0] + 1,) + g.entries[1:])
+        return g
+
+    monkeypatch.setattr(qv, "gsc_q_from_diamonds", wrong_on_bad)
+    r = verify.check_q_routes()
+    want = [f"{spec}: gsc routes disagree" for spec in bad]
+    assert len(want) >= 6
+    assert not r.passed and r.cases == 109 and r.failures == want
+    assert r.detail == "; ".join(want[:4])
+
+
+def test_clbc_names_every_violation(monkeypatch):
+    bad = verify.q_specs()[:5]
+    gc_q = qv.gc_q
+
+    def negative_on_bad(spec):
+        g = gc_q(spec)
+        if spec in bad:
+            return CubicalG(g.d, g.entries[:2] + (-1,) + g.entries[3:])
+        return g
+
+    monkeypatch.setattr(qv, "gc_q", negative_on_bad)
+    r = verify.check_clbc()
+    assert r.cases == 143
+    assert r.failures == [f"Q(k={s.k},d={s.d},n={s.n}): g^c_2 = -1" for s in bad]

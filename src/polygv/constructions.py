@@ -230,12 +230,6 @@ def mw_g_closed(spec: MWSpec) -> GVector:
 # -- lexicographic subdivisions ------------------------------------------
 
 
-def _pushable_order(spec: CyclicSpec | MWSpec) -> list[Label]:
-    if isinstance(spec, CyclicSpec):
-        return [cvert(i) for i in range(1, spec.m + 1)]
-    return [cvert(i) for i in range(1, spec.c_count)]
-
-
 def _suffix_facets(spec: CyclicSpec | MWSpec, start: int) -> set[frozenset[Label]]:
     """Facets of the polytope on the vertex order with the first `start` dropped."""
     if isinstance(spec, CyclicSpec):
@@ -256,7 +250,7 @@ def lex_range(spec: CyclicSpec | MWSpec) -> int:
 def _push_chain(
     spec: CyclicSpec | MWSpec,
 ) -> Iterator[tuple[int, Label, list[frozenset[Label]], set[frozenset[Label]]]]:
-    """One push chain: (a, v_a, pyramids of the pushes so far, current facets).
+    """One push chain: (a, v_a = c_a, pyramids of the pushes so far, current facets).
 
     Each push on the current polytope P with first vertex v and sub-polytope
     P' = P minus v contributes the pyramids from v over the facets of P'
@@ -264,11 +258,10 @@ def _push_chain(
     place, so a consumer uses it before advancing the chain.
     """
     amax = lex_range(spec)
-    order = _pushable_order(spec)
     pushed: list[frozenset[Label]] = []
     cur = _suffix_facets(spec, 0)
     for a in range(1, amax + 1):
-        v = order[a - 1]
+        v = cvert(a)
         yield a, v, pushed, cur
         if a < amax:
             nxt = _suffix_facets(spec, a)

@@ -1,10 +1,12 @@
 """Cubical g-vector pipeline for the family Q(k, d, n).
 
 Q(k, d, n) has 2^n vertices and is never materialized.  Every quantity is
-routed through the vertex-figure histogram (how many vertices see each
-diamond) and the diamond g-vectors, then into the short and long cubical
-g-vectors.  Each quantity is computed by at least two independent routes
-that must agree exactly.
+routed through the vertex-figure histogram (a dict a -> how many vertices
+see the a-th diamond) and the diamond g-vectors, then into the short and
+long cubical g-vectors.  ``_vertex_sum`` is the one place that weights by
+the histogram: routes A and C of the short cubical g-vector and the full
+short cubical h-vector are each one call of it.  Each quantity is computed
+by at least two independent routes that must agree exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .constructions import diamond_g_closed, diamonds
 from .vectors import (
@@ -31,7 +33,6 @@ from .vectors import (
 
 __all__ = [
     "QSpec",
-    "VertexFigureHistogram",
     "vertex_figure_histogram",
     "vertex_figure_histogram_brute",
     "diamond_index_of_sign_vector",
@@ -71,28 +72,16 @@ class QSpec:
             )
 
 
-@dataclass(frozen=True)
-class VertexFigureHistogram:
-    """Count of vertices whose vertex figure is the a-th diamond, per a."""
+def vertex_figure_histogram(n: int, d: int) -> dict[int, int]:
+    """Closed counting, a -> vertices that see the a-th diamond (ascending in a).
 
-    n: int
-    d: int
-    counts: tuple[tuple[int, int], ...]  # (a, count), ascending in a
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-
-def vertex_figure_histogram(n: int, d: int) -> VertexFigureHistogram:
-    """Closed counting: 2^(n-a) vertices for a <= n-d, and 2^d for a = n-d+1."""
+    2^(n-a) vertices for a <= n-d, and 2^d for a = n-d+1.
+    """
     if not n >= d >= 1:
         raise ValueError(f"histogram needs n >= d >= 1, got n={n}, d={d}")
-    counts = [(a, 2 ** (n - a)) for a in range(1, n - d + 1)]
-    counts.append((n - d + 1, 2**d))
-    return VertexFigureHistogram(n, d, tuple(counts))
+    hist = {a: 2 ** (n - a) for a in range(1, n - d + 1)}
+    hist[n - d + 1] = 2**d
+    return hist
 
 
 def diamond_index_of_sign_vector(sigma: str, n: int, d: int) -> int:
@@ -106,7 +95,7 @@ def diamond_index_of_sign_vector(sigma: str, n: int, d: int) -> int:
     return cap
 
 
-def vertex_figure_histogram_brute(n: int, d: int) -> VertexFigureHistogram:
+def vertex_figure_histogram_brute(n: int, d: int) -> dict[int, int]:
     """Histogram by enumerating all 2^n sign vectors; only sensible for n <= 20."""
     if n > 20:
         raise ValueError("brute histogram limited to n <= 20")
@@ -118,22 +107,33 @@ def vertex_figure_histogram_brute(n: int, d: int) -> VertexFigureHistogram:
     for first, count in firsts.items():
         a = min(first or cap, cap)
         tally[a] = tally.get(a, 0) + count
-    return VertexFigureHistogram(n, d, tuple(sorted(tally.items())))
+    return dict(sorted(tally.items()))
 
 
 # -- short cubical g-vector of Q, three routes ------------------------------
 
 
+def _vertex_sum(
+    spec: QSpec, rows: Iterable[tuple[int, Sequence[int]]], width: int
+) -> tuple[int, ...]:
+    """Sum over the 2^n vertices of Q, as a tuple of ``width`` entries.
+
+    Each (a, entries) row counts once per vertex that sees the a-th diamond.
+    """
+    hist = vertex_figure_histogram(spec.n, spec.d)
+    acc = [0] * width
+    for a, entries in rows:
+        count = hist[a]
+        for i in range(width):
+            acc[i] += count * entries[i]
+    return tuple(acc)
+
+
 def gsc_q_from_diamonds(spec: QSpec) -> ShortCubicalG:
     """Route A: histogram-weighted sum of closed-form diamond g-vectors."""
-    hist = vertex_figure_histogram(spec.n, spec.d)
-    width = (spec.d - 1) // 2 + 1
-    acc = [0] * width
-    for a, count in hist.counts:
-        g = diamond_g_closed(spec.k, spec.d, spec.n, a)
-        for i in range(width):
-            acc[i] += count * g.entries[i]
-    return ShortCubicalG(spec.d, tuple(acc))
+    k, d, n = spec.k, spec.d, spec.n
+    rows = ((a, diamond_g_closed(k, d, n, a).entries) for a in range(1, n - d + 2))
+    return ShortCubicalG(d, _vertex_sum(spec, rows, (d - 1) // 2 + 1))
 
 
 def gsc_q_closed(spec: QSpec) -> ShortCubicalG:
@@ -158,15 +158,12 @@ def gsc_q_from_complexes(spec: QSpec) -> ShortCubicalG:
     Materializes every diamond boundary, one at a time from a single diamond
     stream, so keep the spec small.
     """
-    counts = vertex_figure_histogram(spec.n, spec.d).as_dict()
-    width = (spec.d - 1) // 2 + 1
-    acc = [0] * width
-    for dspec, _, _, complex_ in diamonds(spec.k, spec.d, spec.n):
-        count = counts[dspec.a]
-        g = h_to_g(f_to_h(complex_.f_vector(), spec.d - 1))
-        for i in range(width):
-            acc[i] += count * g.entries[i]
-    return ShortCubicalG(spec.d, tuple(acc))
+    d = spec.d
+    rows = (
+        (dspec.a, h_to_g(f_to_h(dia.f_vector(), d - 1)).entries)
+        for dspec, _, _, dia in diamonds(spec.k, d, spec.n)
+    )
+    return ShortCubicalG(d, _vertex_sum(spec, rows, (d - 1) // 2 + 1))
 
 
 def gsc_q(spec: QSpec) -> ShortCubicalG:
@@ -215,14 +212,12 @@ def full_hsc_q(spec: QSpec) -> ShortCubicalH:
     from the closed-form g by reflection; the histogram-weighted sum then
     gives all d entries of h^sc, not just the g range.
     """
-    hist = vertex_figure_histogram(spec.n, spec.d)
-    acc = [0] * spec.d
-    for a, count in hist.counts:
-        g = diamond_g_closed(spec.k, spec.d, spec.n, a)
-        h = h_from_g_palindromic(g, spec.d - 1)
-        for i in range(spec.d):
-            acc[i] += count * h.entries[i]
-    return ShortCubicalH(spec.d, tuple(acc))
+    k, d, n = spec.k, spec.d, spec.n
+    rows = (
+        (a, h_from_g_palindromic(diamond_g_closed(k, d, n, a), d - 1).entries)
+        for a in range(1, n - d + 2)
+    )
+    return ShortCubicalH(d, _vertex_sum(spec, rows, d))
 
 
 # -- the binomial identity ----------------------------------------------------

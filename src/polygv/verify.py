@@ -542,9 +542,9 @@ def check_face_monotonicity(r: CheckResult) -> None:
 def check_q_named_examples(r: CheckResult) -> None:
     expect = r.expect
 
-    hist = qv.vertex_figure_histogram(9, 6).as_dict()
+    hist = qv.vertex_figure_histogram(9, 6)
     expect(hist == {1: 256, 2: 128, 3: 64, 4: 64}, "histogram (9,6)")
-    expect(qv.vertex_figure_histogram(6, 6).as_dict() == {1: 64}, "histogram n=d")
+    expect(qv.vertex_figure_histogram(6, 6) == {1: 64}, "histogram n=d")
 
     expect(qv.gsc_q(qv.QSpec(1, 6, 9)).entries == (512, 1536, 1088), "gsc (1,6,9)")
     expect(qv.gsc_q(qv.QSpec(1, 6, 6)).entries == (64, 0, 0), "gsc (1,6,6)")
@@ -555,8 +555,8 @@ def check_q_named_examples(r: CheckResult) -> None:
     expect(qv.gc_q(qv.QSpec(1, 8, 10)).entries == (128, 768, 1280, 0, 0), "gc (1,8,10)")
 
     for (k, m, expected) in [(1, 0, 0), (1, 3, 17)]:
-        r = qv.binomial_identity_check(k, m)
-        expect(r.equal and r.left == expected, f"identity ({k},{m})")
+        identity = qv.binomial_identity_check(k, m)
+        expect(identity.equal and identity.left == expected, f"identity ({k},{m})")
     expect(qv.binomial_identity_check(3, 5).equal, "identity (3,5)")
 
     rows = qv.ray_convergence_report(1, 6, [30])
@@ -606,13 +606,13 @@ def check_q_route_c(r: CheckResult) -> None:
 def _histogram_fails(n: int, d: int) -> list[str]:
     fails = []
     hist = qv.vertex_figure_histogram(n, d)
-    if hist.total() != 2**n:
+    if sum(hist.values()) != 2**n:
         fails.append(f"histogram ({n},{d}) does not partition 2^n")
-    for a, count in hist.counts:
+    for a, count in hist.items():
         want = 2**d if a == n - d + 1 else 2 ** (n - a)
         if count != want:
             fails.append(f"histogram ({n},{d}) wrong count at a={a}")
-    if qv.vertex_figure_histogram_brute(n, d).counts != hist.counts:
+    if qv.vertex_figure_histogram_brute(n, d) != hist:
         fails.append(f"histogram ({n},{d}) differs from enumeration")
     return fails
 

@@ -17,6 +17,7 @@ from polygv import verify
 from polygv.cli import build_parser, main
 
 SRC = str(Path(polygv.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).parent / "golden" / "verify_full.txt"
 
 
 def run_cli(capsys, *argv):
@@ -147,7 +148,7 @@ def test_verify_output_is_golden(grid_args):
         capture_output=True, env={"PYTHONPATH": SRC},
     )
     assert done.returncode == 0
-    assert done.stdout == (Path(__file__).parent / "golden" / "verify_full.txt").read_bytes()
+    assert done.stdout == GOLDEN.read_bytes()
 
 
 def test_verify_default_grid_is_full():
@@ -169,9 +170,14 @@ def test_verify_other_grid_is_exit_2(capsys):
 
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_verify_each_suite(capsys, suite):
+    """Each suite prints exactly its own lines of the golden full run, in order."""
     code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
-    assert out.strip().splitlines()[-1].startswith("verify:")
+    lines = out.strip().splitlines()
+    assert lines[-1].startswith("verify:")
+    golden = [line for line in GOLDEN.read_text().splitlines() if line.startswith(f"PASS  {suite}: ")]
+    assert golden
+    assert [line for line in lines if line.startswith(("PASS", "FAIL"))] == golden
 
 
 def test_ray_bad_range_is_exit_2(capsys):

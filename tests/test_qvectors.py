@@ -22,7 +22,8 @@ from polygv.qvectors import (
     vertex_figure_histogram,
     vertex_figure_histogram_brute,
 )
-from polygv.vectors import CubicalG, check_cubical_DS, hc_to_gc, hsc_to_gsc, hsc_to_hc
+from polygv.constructions import diamonds
+from polygv.vectors import CubicalG, check_cubical_DS, f_to_h, hc_to_gc, hsc_to_gsc, hsc_to_hc
 
 
 def test_qspec_validation():
@@ -35,18 +36,19 @@ def test_qspec_validation():
 
 
 def test_histogram_969():
-    assert vertex_figure_histogram(9, 6).as_dict() == {1: 256, 2: 128, 3: 64, 4: 64}
+    assert vertex_figure_histogram(9, 6) == {1: 256, 2: 128, 3: 64, 4: 64}
 
 
 def test_histogram_degenerate():
-    assert vertex_figure_histogram(6, 6).as_dict() == {1: 64}
+    assert vertex_figure_histogram(6, 6) == {1: 64}
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 13) for d in range(1, n + 1)])
 def test_histogram_matches_enumeration(n, d):
     closed = vertex_figure_histogram(n, d)
-    assert closed.total() == 2**n
-    assert vertex_figure_histogram_brute(n, d) == closed
+    assert sum(closed.values()) == 2**n
+    brute = vertex_figure_histogram_brute(n, d)
+    assert list(brute.items()) == list(closed.items()) == sorted(closed.items())
 
 
 def test_sign_vector_index():
@@ -105,6 +107,13 @@ def test_route_c_stretch():
 def test_full_hsc_pipeline():
     for spec in [QSpec(1, 6, 9), QSpec(2, 6, 10), QSpec(1, 7, 11), QSpec(2, 9, 12)]:
         hsc = full_hsc_q(spec)
+        # all d entries, the reflected upper half included, from the explicit diamonds
+        hist = vertex_figure_histogram(spec.n, spec.d)
+        explicit = [0] * spec.d
+        for dspec, _, _, dia in diamonds(spec.k, spec.d, spec.n):
+            h = f_to_h(dia.f_vector(), spec.d - 1).entries
+            explicit = [x + hist[dspec.a] * y for x, y in zip(explicit, h, strict=True)]
+        assert list(hsc.entries) == explicit
         assert hsc_to_gsc(hsc) == gsc_q_closed(spec)
         hc = hsc_to_hc(hsc, spec.d)
         assert check_cubical_DS(hc)

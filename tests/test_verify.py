@@ -2,6 +2,7 @@
 at one spec must fail exactly the check that reads it, name that spec, and
 keep every failure."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -125,8 +126,45 @@ def test_run_suite_all_gives_the_golden_names_in_order(all_results):
     assert len(set(names)) == len(names)
 
 
-def test_suites_concatenate_to_all(all_results):
-    assert [r for suite in verify.SUITES for r in verify.run_suite(suite)] == all_results
+def _bound_names(target):
+    """Names an assignment, loop or ``with`` target binds, unpacking included.
+
+    ``r.cases += n`` binds an attribute of ``r``, not ``r`` itself.
+    """
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*map(_bound_names, target.elts))
+    return set()
+
+
+def test_no_check_rebinds_its_own_parameters():
+    """A check body that rebinds its ``CheckResult`` parameter loses the tally."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    checks = [
+        fn for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and any(
+            isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "check"
+            for dec in fn.decorator_list
+        )
+    ]
+    assert len(checks) == len(verify.CHECKS)
+    for fn in checks:
+        params = {arg.arg for arg in fn.args.args}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.For)):
+                targets = [node.target]
+            elif isinstance(node, ast.With):
+                targets = [item.optional_vars for item in node.items if item.optional_vars]
+            else:
+                continue
+            for target in targets:
+                rebound = _bound_names(target) & params
+                assert not rebound, f"{fn.name} rebinds {sorted(rebound)} at line {node.lineno}"
 
 
 def test_every_module_check_is_registered_once():

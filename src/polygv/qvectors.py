@@ -50,8 +50,6 @@ __all__ = [
     "ray_convergence_report",
     "ray_csv_lines",
     "blind_blind_gc",
-    "ClbcReport",
-    "clbc_scan",
 ]
 
 
@@ -327,28 +325,3 @@ def blind_blind_gc(d: int, k: int) -> CubicalG:
     for i in range(1, d // 2 + 1):
         out.append(sum(2 ** (d - j) * comb(j - 1, i - 1) for j in range(1, k + 1)))
     return CubicalG(d, tuple(out))
-
-
-@dataclass(frozen=True)
-class ClbcReport:
-    """Outcome of a g^c_2 >= 0 scan over a family of cubical g-vectors."""
-
-    checked: int
-    violations: tuple[tuple[str, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def clbc_scan(items: Iterable[tuple[str, CubicalG]]) -> ClbcReport:
-    """Assert g^c_2 >= 0 across the family; collect any violations."""
-    checked = 0
-    violations = []
-    for name, gc in items:
-        if len(gc.entries) <= 2:  # too short to have a g^c_2 entry
-            continue
-        checked += 1
-        if gc.entries[2] < 0:
-            violations.append((name, gc.entries[2]))
-    return ClbcReport(checked, tuple(violations))

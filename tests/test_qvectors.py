@@ -7,7 +7,6 @@ from polygv.qvectors import (
     QSpec,
     binomial_identity_check,
     blind_blind_gc,
-    clbc_scan,
     diamond_index_of_sign_vector,
     full_hsc_q,
     gc_q,
@@ -23,7 +22,7 @@ from polygv.qvectors import (
     vertex_figure_histogram_brute,
 )
 from polygv.constructions import diamonds
-from polygv.vectors import CubicalG, check_cubical_DS, f_to_h, hc_to_gc, hsc_to_gsc, hsc_to_hc
+from polygv.vectors import check_cubical_DS, f_to_h, hc_to_gc, hsc_to_gsc, hsc_to_hc
 
 
 def test_qspec_validation():
@@ -202,27 +201,6 @@ def test_blind_blind_validation():
         blind_blind_gc(6, 4)
     with pytest.raises(ValueError):
         blind_blind_gc(6, 0)
-
-
-def test_clbc_scan_families():
-    # every Q(k, d, n) with k <= 3, 2k+2 <= d <= 10, n <= 14, then every elementary d <= 12
-    items = [
-        (f"Q({k},{d},{n})", gc_q(QSpec(k, d, n)))
-        for k in range(1, 4)
-        for d in range(2 * k + 2, 11)
-        for n in range(d, 15)
-    ]
-    items += [(f"({d},{k})", blind_blind_gc(d, k)) for d in range(2, 13) for k in range(1, d // 2 + 1)]
-    report = clbc_scan(items)
-    assert report.ok
-    assert report.checked == 143
-
-
-def test_clbc_detector():
-    bad = CubicalG(6, (32, 5, -1, 0))
-    report = clbc_scan([("ok", CubicalG(6, (32, 4, 4, 0))), ("bad", bad)])
-    assert not report.ok
-    assert report.violations == (("bad", -1),)
 
 
 def test_gsc_q_internal_guard():

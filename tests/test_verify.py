@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from polygv import cli
+from polygv import complexes as cx
 from polygv import constructions as cons
 from polygv import qvectors as qv
 from polygv import stackedness as st
@@ -44,10 +46,10 @@ def test_wrong_closed_form_fails_only_the_relation_check(monkeypatch):
 
     monkeypatch.setattr(cons, "diamond_g_closed", wrong_at_one)
     results = _by_name(verify.check_diamond_grid())
-    assert results[LEX].passed and results[LEX].detail == "272 cases"
-    assert results[CONTRACTION].passed and results[CONTRACTION].detail == "272 cases"
+    assert results[LEX].passed and results[LEX].detail == "1088 cases"
+    assert results[CONTRACTION].passed and results[CONTRACTION].detail == "465 cases"
     assert not results[RELATIONS].passed
-    assert results[RELATIONS].detail == f"{bad}: enumerated g differs from closed form"
+    assert results[RELATIONS].detail == f"1 of 1088 cases failed: {bad}: enumerated g differs from closed form"
 
 
 def test_wrong_cyclic_route_fails_only_the_lex_check(monkeypatch):
@@ -63,10 +65,77 @@ def test_wrong_cyclic_route_fails_only_the_lex_check(monkeypatch):
 
     monkeypatch.setattr(cons, "lex_mw_from_cyclic", wrong_at_one)
     results = _by_name(verify.check_diamond_grid())
-    assert results[RELATIONS].passed and results[RELATIONS].detail == "272 cases"
-    assert results[CONTRACTION].passed and results[CONTRACTION].detail == "272 cases"
+    assert results[RELATIONS].passed and results[RELATIONS].detail == "1088 cases"
+    assert results[CONTRACTION].passed and results[CONTRACTION].detail == "465 cases"
     assert not results[LEX].passed
-    assert results[LEX].detail == f"{bad}: cyclic-factor route differs from push/pull route"
+    assert results[LEX].detail == (
+        f"1 of 1088 cases failed: {bad}: cyclic-factor route differs from push/pull route"
+    )
+
+
+def test_dropped_rim_facet_fails_the_relations_it_feeds(monkeypatch):
+    """The rim of (1, 6, 9, a=1) loses one facet at c1.
+
+    There the ball's boundary and the f-relation disagree with it.  The layer's
+    rim link of c1 comes from that rim, so the h-relation of every later a fails.
+    """
+    bad = cons.DiamondSpec(1, 6, 9, 1)
+    diamonds = cons.diamonds
+
+    def drop_one(k, d, n):
+        for spec, rim, ball, dia in diamonds(k, d, n):
+            if spec == bad:
+                at_c1 = min((f for f in rim.facets if cx.cvert(1) in f), key=sorted)
+                rim = cx.SimplicialComplex(rim.facets - {at_c1})
+            yield spec, rim, ball, dia
+
+    monkeypatch.setattr(cons, "diamonds", drop_one)
+    results = _by_name(verify.check_diamond_grid())
+    assert results[LEX].failures == [f"{bad}: subdivision boundary differs from the base boundary"]
+    assert results[RELATIONS].failures == [f"{bad}: f-polynomial relation fails"]
+    assert results[CONTRACTION].failures == [
+        f"{cons.DiamondSpec(1, 6, 9, a)}: h-polynomial contraction relation fails" for a in (2, 3, 4)
+    ]
+
+
+def test_relabeled_contraction_fails_only_the_previous_diamond(monkeypatch):
+    """Swapping two labels keeps every h-vector, so only the landing comparison fails."""
+    bad = cons.DiamondSpec(1, 6, 9, 2)
+    bad_diamond = cons.diamond_boundary(bad)
+    contract = cx.SimplicialComplex.contract_edge
+
+    def swap_two(self, u, v):
+        out = contract(self, u, v)
+        if self == bad_diamond:
+            return out.relabel({cx.cvert(2): cx.cvert(3), cx.cvert(3): cx.cvert(2)})
+        return out
+
+    monkeypatch.setattr(cx.SimplicialComplex, "contract_edge", swap_two)
+    results = _by_name(verify.check_diamond_grid())
+    assert results[LEX].passed and results[RELATIONS].passed
+    assert results[CONTRACTION].failures == [f"{bad}: contraction is not the previous diamond"]
+
+
+def test_contraction_past_the_link_condition_fails_every_first_diamond(monkeypatch):
+    contract = cx.SimplicialComplex.contract_edge
+
+    def ignore_link_condition(self, u, v):
+        try:
+            return contract(self, u, v)
+        except cx.LinkConditionError:
+            return self
+
+    monkeypatch.setattr(cx.SimplicialComplex, "contract_edge", ignore_link_condition)
+    results = _by_name(verify.check_diamond_grid())
+    assert results[LEX].passed and results[RELATIONS].passed
+    want = [
+        f"{cons.DiamondSpec(k, d, n, 1)}: contraction succeeded where the link condition fails"
+        for k in range(1, 4)
+        for d in range(2 * k + 2, 11)
+        for n in range(d, 13)
+    ]
+    assert len(want) == 79
+    assert results[CONTRACTION].cases == 465 and results[CONTRACTION].failures == want
 
 
 def test_dropped_oracle_facet_leaves_a_face_uncovered(monkeypatch):
@@ -78,7 +147,7 @@ def test_dropped_oracle_facet_leaves_a_face_uncovered(monkeypatch):
 
     monkeypatch.setattr(st, "oracle_stacked_facets", drop_one)
     results = _by_name(verify.check_stack_grid(), (MISSING, FACETS))
-    assert results[MISSING].passed and results[MISSING].detail == "30 cases"
+    assert results[MISSING].passed and results[MISSING].detail == "60 cases"
     r = results[FACETS]
     assert not r.passed
     assert "boundary face not covered at (k=1, d=6, n=9, a=1)" in r.detail
@@ -93,9 +162,9 @@ def test_dropped_missing_face_fails_only_the_missing_check(monkeypatch):
 
     monkeypatch.setattr(st, "predicted_missing_faces", drop_one)
     results = _by_name(verify.check_stack_grid(), (MISSING, FACETS))
-    assert results[FACETS].passed and results[FACETS].detail == "30 cases"
+    assert results[FACETS].passed and results[FACETS].detail == "90 cases"
     assert not results[MISSING].passed
-    assert results[MISSING].detail == "missing faces differ at (k=1, d=6, n=9, a=2)"
+    assert results[MISSING].detail == "1 of 60 cases failed: missing faces differ at (k=1, d=6, n=9, a=2)"
 
 
 def test_stack_grid_builds_one_rim_per_layer(monkeypatch):
@@ -188,8 +257,8 @@ def test_check_keeps_every_failure(monkeypatch):
     r = verify.check_q_routes()
     want = [f"{spec}: gsc routes disagree" for spec in bad]
     assert len(want) >= 6
-    assert not r.passed and r.cases == 109 and r.failures == want
-    assert r.detail == "; ".join(want[:4])
+    assert not r.passed and r.cases == 654 and r.failures == want
+    assert r.detail == f"{len(want)} of 654 cases failed: " + "; ".join(want[:4])
 
 
 def test_clbc_names_every_violation(monkeypatch):
@@ -206,3 +275,36 @@ def test_clbc_names_every_violation(monkeypatch):
     r = verify.check_clbc()
     assert r.cases == 143
     assert r.failures == [f"Q(k={s.k},d={s.d},n={s.n}): g^c_2 = -1" for s in bad]
+
+
+def test_a_raising_check_is_a_fail_line_not_an_abort(monkeypatch, capsys):
+    """Every result line and the summary still print, and verify exits 1, not 2."""
+
+    def no_witness(k, d, n):
+        raise AssertionError("no witness")
+
+    def refuse(self, u, v):
+        raise cx.LinkConditionError("refused")
+
+    monkeypatch.setattr(st, "incompatibility_witness", no_witness)
+    monkeypatch.setattr(cx.SimplicialComplex, "contract_edge", refuse)
+    raised = {
+        "constructions: named examples": "LinkConditionError: refused",
+        LEX: "LinkConditionError: refused",
+        RELATIONS: "LinkConditionError: refused",
+        CONTRACTION: "LinkConditionError: refused",
+        "stackedness: named examples": "AssertionError: no witness",
+        "stackedness: incompatibility witness on the grid": "AssertionError: no witness",
+    }
+    assert cli.main(["verify", "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    golden = GOLDEN.read_text().splitlines()
+    assert len(lines) == len(golden) == 29
+    assert lines[-1] == "verify: suite=all grid=full checks=28 passed=22 failed=6"
+    for line, want in zip(lines[:-1], golden[:-1]):
+        name = re.fullmatch(r"PASS  (.*) \(\d+ cases\)", want).group(1)
+        if name in raised:
+            fail = rf"FAIL  {re.escape(name)} \(1 of \d+ cases failed: raised {raised[name]}\)"
+            assert re.fullmatch(fail, line)
+        else:
+            assert line == want

@@ -292,11 +292,10 @@ def _stack_report(spec: cons.DiamondSpec, dia: SimplicialComplex) -> dict:
 
 
 def cmd_stackedness(args: argparse.Namespace) -> int:
-    if args.a is None:
-        stream = ((spec, dia) for spec, _, _, dia in cons.diamonds(args.k, args.d, args.n))
-    else:
-        spec = cons.DiamondSpec(args.k, args.d, args.n, args.a)
-        stream = [(spec, cons.diamond_boundary(spec))]
+    stream = ((spec, dia) for spec, _, _, dia in cons.diamonds(args.k, args.d, args.n))
+    if args.a is not None:
+        cons.DiamondSpec(args.k, args.d, args.n, args.a)  # a bad index is an input error
+        stream = [next(item for item in stream if item[0].a == args.a)]
     diamonds = [_stack_report(spec, dia) for spec, dia in stream]
     obj: dict = {"k": args.k, "d": args.d, "n": args.n, "diamonds": diamonds}
     if args.n > args.d:
@@ -317,8 +316,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        detail = f" ({r.detail})" if r.detail else ""
-        lines.append(f"{status}  {r.name}{detail}")
+        lines.append(f"{status}  {r.name} ({r.detail})")
     failed = sum(1 for r in results if not r.passed)
     lines.append(
         f"verify: suite={args.suite} grid={args.grid} "

@@ -3,8 +3,8 @@
 The predicted face lists live purely on the cyclic factor's linear vertex
 order (wraparound adjacency is never consecutive): missing faces are spaced
 position sets and stacked facets are sets that pair up as (p, p+1), each
-generated directly and recognized by one predicate.  The brute-force oracles
-work on the explicitly enumerated diamond boundary.
+generated directly and recognized by one predicate.  Both brute-force oracles
+read one scan of the explicit diamond boundary's small minimal non-faces.
 The incompatibility witness pins down one facet of a stacked triangulation
 that cannot be classified in the neighboring diamond, which is what blocks
 any global cubical stacked subdivision.
@@ -12,7 +12,7 @@ any global cubical stacked subdivision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -74,17 +74,7 @@ class IncompatibilityWitness:
     face_type_in_b: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "d": self.d,
-            "n": self.n,
-            "sigma": self.sigma,
-            "a": self.a,
-            "b": self.b,
-            "face": [label_str(v) for v in sorted(self.face)],
-            "face_type_in_a": self.face_type_in_a,
-            "face_type_in_b": self.face_type_in_b,
-        }
+        return {**asdict(self), "face": [label_str(v) for v in sorted(self.face)]}
 
 
 def _layout(k: int, d: int, n: int, a: int) -> tuple[int, frozenset[Label]]:
@@ -133,27 +123,43 @@ def predicted_missing_faces(k: int, d: int, n: int, a: int) -> list[ClassifiedFa
     return sorted(out, key=lambda cf: (len(cf.vertices), sorted(cf.vertices)))
 
 
+def _small_nonfaces(complex_: SimplicialComplex, max_size: int) -> list[int]:
+    """Bitmasks of the minimal non-faces with at most ``max_size`` vertices.
+
+    A set is a minimal non-face exactly when it is not a face but dropping
+    any one of its vertices leaves a face.  Dropping its last vertex leaves a
+    face, so the scan grows faces one vertex at a time in vertex order and
+    tests each grown set that is not a face by its other one-vertex drops.
+    """
+    has = complex_._has
+    count = len(complex_.vertices)
+
+    def grow(face: int, bits: tuple[int, ...], start: int) -> Iterator[int]:
+        for i in range(start, count):
+            bit = 1 << i
+            grown = face | bit
+            if not has(grown):
+                if all(has(grown ^ b) for b in bits):
+                    yield grown
+            elif len(bits) < max_size - 1:
+                yield from grow(grown, bits + (bit,), i + 1)
+
+    return list(grow(0, (), 0))
+
+
+def _labels(complex_: SimplicialComplex, mask: int) -> frozenset[Label]:
+    """The vertex set of a bitmask over ``complex_.vertices``."""
+    return frozenset(v for i, v in enumerate(complex_.vertices) if mask >> i & 1)
+
+
 def brute_missing_faces(
     complex_: SimplicialComplex, max_size: int
 ) -> list[frozenset[Label]]:
-    """All inclusion-minimal non-faces of size <= max_size, by subset scan.
-
-    Scans sizes in increasing order and prunes supersets of non-faces
-    already found, so the output is exactly the minimal ones.
-    """
-    support = complex_.vertices
-    if max_size > len(support):
-        raise ValueError(f"max_size {max_size} exceeds vertex count {len(support)}")
-    found: list[frozenset[Label]] = []
-    for size in range(1, max_size + 1):
-        for S in combinations(support, size):
-            if complex_.is_face(S):
-                continue
-            fs = frozenset(S)
-            if any(miss < fs for miss in found):
-                continue
-            found.append(fs)
-    return sorted(found, key=lambda f: (len(f), sorted(f)))
+    """All inclusion-minimal non-faces of size <= max_size, by the scan above."""
+    if max_size > len(complex_.vertices):
+        raise ValueError(f"max_size {max_size} exceeds vertex count {len(complex_.vertices)}")
+    out = [_labels(complex_, m) for m in _small_nonfaces(complex_, max_size)]
+    return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
 def predicted_stacked_facets(k: int, d: int, n: int, a: int) -> list[ClassifiedFace]:
@@ -180,29 +186,27 @@ def oracle_stacked_facets(
     """d-subsets of the diamond's vertices all of whose small subsets are faces.
 
     The criterion is literal: every subset of size <= k+2 must be a face of
-    the boundary complex.  Candidates grow one vertex at a time in vertex
-    order; adding v tests only the small subsets through v, which are v
-    plus a subset of at most k+1 of the vertices chosen so far.
+    the boundary complex, so the set holds no minimal non-face that small.
+    Candidates grow one vertex at a time in vertex order and stop at the
+    first such non-face: adding v tests those whose last vertex is v.
     """
     support = complex_.vertices
-    has = complex_._has
+    ending: list[list[int]] = [[] for _ in support]
+    for m in _small_nonfaces(complex_, k + 2):
+        ending[m.bit_length() - 1].append(m)
     found: list[int] = []
 
-    def grow(chosen: int, size: int, small: list[int], start: int) -> None:
-        # small: the masks of the subsets of `chosen` with at most k+1 vertices
+    def grow(chosen: int, size: int, start: int) -> None:
         if size == d:
             found.append(chosen)
             return
         for i in range(start, len(support) - d + size + 1):
-            bit = 1 << i
-            through = [s | bit for s in small]
-            if all(map(has, through)):
-                more = [s for s in through if s.bit_count() <= k + 1]
-                grow(chosen | bit, size + 1, small + more, i + 1)
+            grown = chosen | 1 << i
+            if all(m & ~grown for m in ending[i]):
+                grow(grown, size + 1, i + 1)
 
-    grow(0, 0, [0], 0)
-    out = [frozenset(v for i, v in enumerate(support) if b >> i & 1) for b in found]
-    return sorted(out, key=lambda f: sorted(f))
+    grow(0, 0, 0)
+    return sorted((_labels(complex_, b) for b in found), key=sorted)
 
 
 def classify_face(face: Iterable[Label], k: int, d: int, n: int, a: int) -> str:

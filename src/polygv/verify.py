@@ -719,12 +719,6 @@ def check_stack_named_examples(r: CheckResult) -> None:
     r.raises(lambda: st.incompatibility_witness(1, 6, 6), "witness produced with n=d")
 
 
-def _subsets(face: frozenset[cx.Label], min_size: int) -> list[tuple[cx.Label, ...]]:
-    """Every subset of ``face`` with at least ``min_size`` vertices, as a sorted tuple."""
-    ordered = sorted(face)
-    return [s for r in range(min_size, len(ordered) + 1) for s in combinations(ordered, r)]
-
-
 @check("stackedness", "predicted vs brute missing faces", "predicted vs oracle stacked facets")
 def check_stack_grid(miss: CheckResult, fac: CheckResult) -> None:
     """Missing faces and stacked facets of the k = 1 diamonds in one pass.
@@ -744,15 +738,14 @@ def check_stack_grid(miss: CheckResult, fac: CheckResult) -> None:
                 miss.expect(all(len(f) > k for f in brute), f"neighborliness violated at {at}")
                 predicted = {cf.vertices for cf in st.predicted_stacked_facets(k, d, n, a)}
                 oracle = set(st.oracle_stacked_facets(dia, d, k))
-                # every face of dimension >= d-k-2 must lie in some oracle facet
-                covered = {s for facet in oracle for s in _subsets(facet, d - k - 1)}
                 fac.expect(predicted == oracle, f"stacked facets differ at {at}")
                 fac.expect(
                     not any(m <= facet for facet in predicted for m in missing),
                     f"facet contains a missing face at {at}",
                 )
+                # a boundary face lies in an oracle facet when its facet does
                 fac.expect(
-                    all(s in covered for facet in dia.facets for s in _subsets(facet, d - k - 1)),
+                    all(any(facet <= o for o in oracle) for facet in dia.facets),
                     f"boundary face not covered at {at}",
                 )
 

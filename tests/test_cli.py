@@ -140,6 +140,21 @@ def test_stackedness_report(capsys):
     assert len(report["oracle_stacked_facets"]) == 6
 
 
+# golden file -> stackedness arguments: one whole stream and one --a call
+STACKEDNESS_GOLDEN = {
+    "stackedness_k2_d8_n10.json": ["--k", "2", "--d", "8", "--n", "10"],
+    "stackedness_k1_d6_n9_a3.json": ["--k", "1", "--d", "6", "--n", "9", "--a", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKEDNESS_GOLDEN))
+def test_stackedness_output_is_golden(capsys, name):
+    """stdout, byte for byte: the order of every face list and the witness fields."""
+    code, out, err = run_cli(capsys, "stackedness", *STACKEDNESS_GOLDEN[name])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN.parent / name).read_bytes()
+
+
 @pytest.mark.parametrize("grid_args", [["--grid", "full"]], ids=["full"])
 def test_verify_output_is_golden(grid_args):
     """stdout, byte for byte, as committed in tests/golden."""

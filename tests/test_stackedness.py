@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as stn
 
 from polygv.complexes import APEX, SimplicialComplex, cvert, plain, simplex_boundary, tvert
 from polygv.constructions import DiamondSpec, diamond_boundary, diamonds
@@ -20,6 +21,7 @@ from polygv.stackedness import (
     predicted_missing_faces,
     predicted_stacked_facets,
 )
+from test_complexes import FACET_LISTS, closure_of
 
 
 def cset(*idx):
@@ -143,6 +145,35 @@ def test_oracle_equals_the_literal_scan_on_the_grid():
                     count += 1
                     assert oracle_stacked_facets(dia, d, k) == literal_oracle(dia, d, k), spec
     assert count == 117
+
+
+# -- both oracles off the diamonds, against literal definitions ---------------
+
+
+@settings(max_examples=150)
+@given(FACET_LISTS, stn.integers(0, 5))
+def test_brute_missing_faces_matches_the_definition(raw, max_size):
+    facets = [frozenset(plain(i) for i in f) for f in raw]
+    c = SimplicialComplex(facets)
+    if max_size > len(c.vertices):
+        with pytest.raises(ValueError):
+            brute_missing_faces(c, max_size)
+        return
+    closure = closure_of(facets)
+    want = [
+        frozenset(S)
+        for size in range(1, max_size + 1)
+        for S in combinations(c.vertices, size)
+        if frozenset(S) not in closure and all(frozenset(S) - {v} in closure for v in S)
+    ]
+    assert brute_missing_faces(c, max_size) == want
+
+
+@settings(max_examples=150)
+@given(FACET_LISTS, stn.integers(0, 7), stn.integers(0, 3))
+def test_oracle_matches_the_literal_scan_off_the_diamonds(raw, d, k):
+    c = SimplicialComplex(frozenset(plain(i) for i in f) for f in raw)
+    assert oracle_stacked_facets(c, d, k) == literal_oracle(c, d, k)
 
 
 def test_oracle_rejects_subsets_with_missing_pairs():

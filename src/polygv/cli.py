@@ -9,16 +9,40 @@ deterministic: identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
+from types import ModuleType
 from typing import Callable, Iterable, Sequence
 
-from . import constructions as cons
-from . import qvectors as qv
-from . import stackedness as st
-from . import vectors as vec
-from .complexes import SimplicialComplex, label_str
-from .verify import SUITES, run_suite
+
+def _lazy(name: str) -> ModuleType:
+    """``polygv.<name>``, registered in ``sys.modules``; its body runs on first attribute access.
+
+    A subcommand thus runs only the modules it calls.  Functions are looked up
+    as module attributes (``qv.gc_q_closed``), so a patched or wrapped
+    function is the one called.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+vec = _lazy("vectors")
+cx = _lazy("complexes")
+cons = _lazy("constructions")
+qv = _lazy("qvectors")
+st = _lazy("stackedness")
+verify = _lazy("verify")
+
+# verify.SUITES, spelled out so that `--suite` choices do not run verify.py
+SUITES = ("transforms", "constructions", "qvectors", "stackedness")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -51,7 +75,7 @@ def _json_dumps(obj) -> str:
 # -- construct ---------------------------------------------------------------
 
 
-def _build_complex(args: argparse.Namespace) -> SimplicialComplex:
+def _build_complex(args: argparse.Namespace) -> cx.SimplicialComplex:
     fam = args.family
     if fam == "cyclic":
         _require(args, "K", "m")
@@ -88,7 +112,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_fvec(args: argparse.Namespace) -> int:
-    complex_ = SimplicialComplex.from_json_obj(_json_loads(_read_input(args.infile)))
+    complex_ = cx.SimplicialComplex.from_json_obj(_json_loads(_read_input(args.infile)))
     fv = complex_.f_vector()
     obj = {"dim": fv.dim, "counts": list(fv.counts)}
     if args.format == "table":
@@ -108,7 +132,7 @@ def _cubical_input(text: str) -> tuple[int, vec.FVector]:
     if not isinstance(obj, dict):
         raise ValueError("cubical input must be a JSON object with 'd' and 'f' or 'facets'")
     if "facets" in obj:
-        complex_ = SimplicialComplex.from_json_obj(obj)
+        complex_ = cx.SimplicialComplex.from_json_obj(obj)
         fv = complex_.f_vector()
         if fv.dim < 0:
             raise ValueError("cubical 'facets' input has no vertex, so d = 0; d must be positive")
@@ -129,7 +153,7 @@ def _cubical_input(text: str) -> tuple[int, vec.FVector]:
 def cmd_gvec(args: argparse.Namespace) -> int:
     text = _read_input(args.infile)
     if args.kind == "simplicial":
-        complex_ = SimplicialComplex.from_json_obj(_json_loads(text))
+        complex_ = cx.SimplicialComplex.from_json_obj(_json_loads(text))
         fv = complex_.f_vector()
         D = fv.dim + 1
         h = vec.f_to_h(fv, D)
@@ -270,7 +294,7 @@ def cmd_ray(args: argparse.Namespace) -> int:
 # -- stackedness -------------------------------------------------------------------
 
 
-def _stack_report(spec: cons.DiamondSpec, dia: SimplicialComplex) -> dict:
+def _stack_report(spec: cons.DiamondSpec, dia: cx.SimplicialComplex) -> dict:
     k, d, n, a = spec.k, spec.d, spec.n, spec.a
     predicted_missing = st.predicted_missing_faces(k, d, n, a)
     brute = st.brute_missing_faces(dia, k + 2)
@@ -281,12 +305,12 @@ def _stack_report(spec: cons.DiamondSpec, dia: SimplicialComplex) -> dict:
         "predicted_missing": [
             {"face": cf.labels(), "type": cf.tag} for cf in predicted_missing
         ],
-        "brute_missing": [[label_str(v) for v in sorted(f)] for f in brute],
+        "brute_missing": [[cx.label_str(v) for v in sorted(f)] for f in brute],
         "missing_agree": {cf.vertices for cf in predicted_missing} == set(brute),
         "predicted_stacked_facets": [
             {"face": cf.labels(), "type": cf.tag} for cf in predicted_facets
         ],
-        "oracle_stacked_facets": [[label_str(v) for v in sorted(f)] for f in oracle],
+        "oracle_stacked_facets": [[cx.label_str(v) for v in sorted(f)] for f in oracle],
         "facets_agree": {cf.vertices for cf in predicted_facets} == set(oracle),
     }
 
@@ -312,7 +336,7 @@ def cmd_stackedness(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(args.suite)
+    results = verify.run_suite(args.suite)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

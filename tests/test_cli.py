@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import polygv
-from polygv import verify
+from polygv import cli, verify
 from polygv.cli import build_parser, main
 
 SRC = str(Path(polygv.__file__).resolve().parents[1])
@@ -310,20 +310,86 @@ def test_route_disagreement_is_exit_1_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in out + err
 
 
+def _ran_modules(code: str) -> str:
+    """Probe ``code``, then a line that prints the polygv modules whose body has run.
+
+    LazyLoader gives a registered module the class ``types.ModuleType`` once
+    its body has run.
+    """
+    return (
+        "import sys, types\n"
+        + code
+        + "print(sorted(name for name, m in sys.modules.items()"
+        " if name.startswith('polygv.') and type(m) is types.ModuleType))\n"
+    )
+
+
+ALL_MODULES = ["cli", "complexes", "constructions", "qvectors", "stackedness", "vectors", "verify"]
+
+
 def test_cli_imports_only_the_standard_library():
+    """Every module body runs: `import polygv.cli` alone would run none of them."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import polygv.cli\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.startswith('polygv.'):\n"
+        "        vars(module)\n"
         "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(new - set(sys.stdlib_module_names) - {'polygv'}))\n"
         "print('networkx' in sys.modules)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": SRC},
+        [sys.executable, "-c", _ran_modules(probe)], capture_output=True, text=True,
+        check=True, env={"PYTHONPATH": SRC},
     )
-    assert done.stdout.splitlines() == ["[]", "False"]
+    ran = str([f"polygv.{m}" for m in ALL_MODULES])
+    assert done.stdout.splitlines() == ["[]", "False", ran]
+
+
+def test_cli_suite_choices_are_the_verify_suites():
+    assert cli.SUITES == verify.SUITES
+
+
+BASE_MODULES = ["cli", "complexes", "vectors"]
+CONS_MODULES = sorted(BASE_MODULES + ["constructions"])
+Q_MODULES = sorted(CONS_MODULES + ["qvectors"])
+
+
+@pytest.mark.parametrize(
+    "argv,ran",
+    [
+        (["construct", "--family", "diamond", "--k", "1", "--d", "6", "--n", "9", "--a", "2"],
+         CONS_MODULES),
+        (["construct", "--family", "cyclic", "--K", "4", "--m", "10"], CONS_MODULES),
+        (["fvec", "--in", "diamond.json"], BASE_MODULES),
+        (["gvec", "--in", "diamond.json"], BASE_MODULES),
+        (["q-report", "--k", "1", "--d", "6", "--n", "9", "--format", "json"], Q_MODULES),
+        (["ray", "--k", "1", "--d", "6", "--n-from", "7", "--n-to", "30"], Q_MODULES),
+        (["stackedness", "--k", "1", "--d", "6", "--n", "9"], sorted(Q_MODULES + ["stackedness"])),
+        (["verify", "--suite", "all"], ALL_MODULES),
+    ],
+    ids=["construct-diamond", "construct-cyclic", "fvec", "gvec", "q-report", "ray",
+         "stackedness", "verify"],
+)
+def test_each_subcommand_runs_only_the_modules_it_calls(tmp_path, argv, ran):
+    """A fresh interpreter runs one call; only `verify` runs verify.py."""
+    diamond = tmp_path / "diamond.json"
+    assert main(["construct", "--family", "diamond", "--k", "1", "--d", "6", "--n", "9",
+                 "--a", "2", "--out", str(diamond)]) == 0
+    probe = (
+        "import contextlib, io\n"
+        "from polygv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _ran_modules(probe)], capture_output=True, text=True,
+        cwd=tmp_path, env={"PYTHONPATH": SRC},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[f'polygv.{m}' for m in ran]}\n"
 
 
 @pytest.mark.parametrize(

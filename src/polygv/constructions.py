@@ -1,12 +1,13 @@
 """Builders for the polytope families, as explicit boundary complexes.
 
 Everything here is purely combinatorial.  Cyclic polytopes come from the
-Gale evenness rule on an ordered vertex list; MW polytopes are assembled
-from a cyclic factor C and a simplex factor T glued at the last C-vertex x
-(which is swallowed by the gluing and is not a vertex of the result);
-lexicographic subdivisions come from the push/pull recursion on the first
-vertices; diamonds cap a lexicographic subdivision with a cone over the
-base boundary.
+Gale evenness rule on an ordered vertex list.  Every McMullen-Walkup (MW)
+object comes from one gluing rule, `_glue`, of a cyclic factor C and a
+simplex factor T at the last C-vertex x, which the gluing swallows: applied
+to the facets of C it gives the MW boundary, applied to Lex_a(C) it gives
+Lex_a of the MW polytope.  Lexicographic subdivisions come from the
+push/pull recursion on the first vertices; diamonds cap a lexicographic
+subdivision with a cone over the base boundary.
 
 The push/pull recursion relies on both families being closed under
 deletion of the first vertex: C(K, m) minus its first vertex is C(K, m-1)
@@ -21,15 +22,7 @@ from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import (
-    APEX,
-    Label,
-    SimplicialComplex,
-    cvert,
-    simplex_boundary,
-    simplex_complex,
-    tvert,
-)
+from .complexes import APEX, Label, SimplicialComplex, cvert, tvert
 from .vectors import GVector, mchoose
 
 __all__ = [
@@ -92,6 +85,11 @@ class MWSpec:
     def t_count(self) -> int:
         return self.D - self.K + 1
 
+    @property
+    def t_labels(self) -> tuple[Label, ...]:
+        """The simplex-factor vertices t1..t_(t_count)."""
+        return tuple(tvert(j) for j in range(1, self.t_count + 1))
+
 
 @dataclass(frozen=True)
 class DiamondSpec:
@@ -147,18 +145,43 @@ def _gale_facets_positions(K: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _cyclic_facets_on(K: int, labels: Sequence[Label]) -> list[frozenset[Label]]:
-    """Facets of the cyclic K-polytope whose ordered vertices are `labels`."""
-    m = len(labels)
-    return [
-        frozenset(labels[p - 1] for p in S) for S in _gale_facets_positions(K, m)
-    ]
+def _gale_cells(K: int, m: int, start: int) -> list[frozenset[Label]]:
+    """Facets of C(K, m) minus its first `start` vertices, on c_(start+1)..c_m."""
+    labels = [cvert(i) for i in range(start + 1, m + 1)]
+    return [frozenset(labels[p - 1] for p in S) for S in _gale_facets_positions(K, m - start)]
+
+
+def _glue(
+    c_cells: Iterable[frozenset[Label]], x: Label, t_labels: Sequence[Label]
+) -> list[frozenset[Label]]:
+    """The MW gluing rule: cells on the cyclic factor become cells of the MW object.
+
+    A cell through the gluing vertex x takes all of T in place of x; any
+    other cell takes each codimension-one face of T.  x does not survive
+    into the output.
+    """
+    t_all = frozenset(t_labels)
+    t_ridges = [t_all - {t} for t in t_labels]
+    out = []
+    for S in c_cells:
+        if x in S:
+            out.append(t_all | (S - {x}))
+        else:
+            out.extend(ridge | S for ridge in t_ridges)
+    return out
+
+
+def _suffix_facets(spec: CyclicSpec | MWSpec, start: int) -> list[frozenset[Label]]:
+    """Facets of the polytope on the vertex order with the first `start` dropped."""
+    if isinstance(spec, CyclicSpec):
+        return _gale_cells(spec.K, spec.m, start)
+    x = cvert(spec.c_count)
+    return _glue(_gale_cells(spec.K, spec.c_count, start), x, spec.t_labels)
 
 
 def cyclic_facets(K: int, m: int) -> SimplicialComplex:
     """Boundary complex of the cyclic K-polytope with m vertices c1..cm."""
-    spec = CyclicSpec(K, m)
-    return SimplicialComplex(_cyclic_facets_on(spec.K, [cvert(i) for i in range(1, m + 1)]))
+    return SimplicialComplex(_suffix_facets(CyclicSpec(K, m), 0))
 
 
 def cyclic_is_face(subset: Iterable[int], K: int, m: int) -> bool:
@@ -188,34 +211,9 @@ def cyclic_is_face(subset: Iterable[int], K: int, m: int) -> bool:
     return inner_odd <= K - i
 
 
-def _mw_facets(
-    K: int, c_labels: Sequence[Label], t_labels: Sequence[Label]
-) -> list[frozenset[Label]]:
-    """Boundary facets of the MW polytope on the given factor labels.
-
-    The gluing vertex x is the last entry of c_labels; it does not survive
-    into the output.  Facets either contain all of T together with a link
-    facet of x, or a codimension-one face of T together with a C-facet
-    avoiding x.
-    """
-    x = c_labels[-1]
-    c_facets = _cyclic_facets_on(K, c_labels)
-    t_all = frozenset(t_labels)
-    t_ridges = [t_all - {t} for t in t_labels]
-    out = []
-    for S in c_facets:
-        if x in S:
-            out.append(t_all | (S - {x}))
-        else:
-            out.extend(ridge | S for ridge in t_ridges)
-    return out
-
-
 def mw_boundary(spec: MWSpec) -> SimplicialComplex:
     """Boundary complex of the MW polytope, a pure (D-1)-sphere on N vertices."""
-    c_labels = [cvert(i) for i in range(1, spec.c_count + 1)]
-    t_labels = [tvert(j) for j in range(1, spec.t_count + 1)]
-    return SimplicialComplex(_mw_facets(spec.K, c_labels, t_labels))
+    return SimplicialComplex(_suffix_facets(spec, 0))
 
 
 def mw_g_closed(spec: MWSpec) -> GVector:
@@ -228,16 +226,6 @@ def mw_g_closed(spec: MWSpec) -> GVector:
 
 
 # -- lexicographic subdivisions ------------------------------------------
-
-
-def _suffix_facets(spec: CyclicSpec | MWSpec, start: int) -> set[frozenset[Label]]:
-    """Facets of the polytope on the vertex order with the first `start` dropped."""
-    if isinstance(spec, CyclicSpec):
-        labels = [cvert(i) for i in range(start + 1, spec.m + 1)]
-        return set(_cyclic_facets_on(spec.K, labels))
-    c_labels = [cvert(i) for i in range(start + 1, spec.c_count + 1)]
-    t_labels = [tvert(j) for j in range(1, spec.t_count + 1)]
-    return set(_mw_facets(spec.K, c_labels, t_labels))
 
 
 def lex_range(spec: CyclicSpec | MWSpec) -> int:
@@ -259,12 +247,12 @@ def _push_chain(
     """
     amax = lex_range(spec)
     pushed: list[frozenset[Label]] = []
-    cur = _suffix_facets(spec, 0)
+    cur = set(_suffix_facets(spec, 0))
     for a in range(1, amax + 1):
         v = cvert(a)
         yield a, v, pushed, cur
         if a < amax:
-            nxt = _suffix_facets(spec, a)
+            nxt = set(_suffix_facets(spec, a))
             pushed.extend(F | {v} for F in nxt - cur)
             cur = nxt
 
@@ -300,17 +288,10 @@ def lex_subdivision(spec: CyclicSpec | MWSpec, a: int) -> SimplicialComplex:
 def lex_mw_from_cyclic(spec: MWSpec, cyclic_lex: SimplicialComplex) -> SimplicialComplex:
     """Lex_a of an MW polytope from ``cyclic_lex``, Lex_a of its cyclic factor C(K, c_count).
 
-    The subdivision restricted to the cyclic factor determines everything:
-    cells through the gluing vertex x pick up all of T, the rest pick up
-    the codimension-one faces of T.
+    The MW gluing rule that turns the facets of C into the MW boundary turns
+    the cells of Lex_a(C) into the cells of Lex_a of the MW polytope.
     """
-    x = cvert(spec.c_count)
-    t_labels = [tvert(j) for j in range(1, spec.t_count + 1)]
-    t_full = simplex_complex(t_labels)
-    t_bound = simplex_boundary(t_labels)
-    part_a = t_full.join(cyclic_lex.link([x]))
-    part_b = t_bound.join(cyclic_lex.antistar([x]))
-    return SimplicialComplex(set(part_a.facets) | set(part_b.facets))
+    return SimplicialComplex(_glue(cyclic_lex.facets, cvert(spec.c_count), spec.t_labels))
 
 
 # -- diamonds ---------------------------------------------------------------

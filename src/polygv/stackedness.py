@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import APEX, Label, SimplicialComplex, cvert, label_str, tvert
+from .complexes import APEX, Label, SimplicialComplex, cvert, label_str
 from .constructions import DiamondSpec
 from .qvectors import diamond_index_of_sign_vector
 
@@ -37,6 +37,7 @@ __all__ = [
     "incompatibility_witness",
     "cube_subgraph_images",
     "cube_graph_face_check",
+    "cube_face_count",
 ]
 
 MISSING_1 = "missing-1"
@@ -85,7 +86,7 @@ def _layout(k: int, d: int, n: int, a: int) -> tuple[int, frozenset[Label]]:
     if k < 1 or not n >= d >= 2 * k + 4:
         raise ValueError(f"needs k >= 1 and n >= d >= 2k+4, got k={k}, d={d}, n={n}")
     base = DiamondSpec(k, d, n, a).base
-    return base.c_count, frozenset(tvert(j) for j in range(1, base.t_count + 1))
+    return base.c_count, frozenset(base.t_labels)
 
 
 def _spaced(r: int, top: int) -> Iterator[tuple[int, ...]]:

@@ -155,6 +155,26 @@ def test_stackedness_output_is_golden(capsys, name):
     assert out.encode() == (GOLDEN.parent / name).read_bytes()
 
 
+# golden file -> construct arguments: each family, both lex bases, K = 1
+CONSTRUCT_GOLDEN = {
+    "construct_cyclic_K4_m10.json": ["--family", "cyclic", "--K", "4", "--m", "10"],
+    "construct_mw_K2_D6_N11.json": ["--family", "mw", "--K", "2", "--D", "6", "--N", "11"],
+    "construct_mw_K1_D3_N6.json": ["--family", "mw", "--K", "1", "--D", "3", "--N", "6"],
+    "construct_lex_cyclic_K3_m9_a3.json": ["--family", "lex", "--base", "cyclic", "--K", "3", "--m", "9", "--a", "3"],
+    "construct_lex_mw_K4_D8_N13_a4.json": ["--family", "lex", "--base", "mw", "--K", "4", "--D", "8", "--N", "13",
+                                           "--a", "4"],
+    "construct_diamond_k2_d10_n14_a3.json": ["--family", "diamond", "--k", "2", "--d", "10", "--n", "14", "--a", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_GOLDEN))
+def test_construct_output_is_golden(capsys, name):
+    """stdout, byte for byte: vertex order, facet order and layout of the JSON."""
+    code, out, err = run_cli(capsys, "construct", *CONSTRUCT_GOLDEN[name])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN.parent / name).read_bytes()
+
+
 @pytest.mark.parametrize("grid_args", [["--grid", "full"]], ids=["full"])
 def test_verify_output_is_golden(grid_args):
     """stdout, byte for byte, as committed in tests/golden."""

@@ -3,7 +3,15 @@ from itertools import combinations
 import pytest
 
 from polygv import constructions as cons
-from polygv.complexes import APEX, LinkConditionError, SimplicialComplex, cvert, tvert
+from polygv.complexes import (
+    APEX,
+    LinkConditionError,
+    SimplicialComplex,
+    cvert,
+    simplex_boundary,
+    simplex_complex,
+    tvert,
+)
 from polygv.constructions import (
     CyclicSpec,
     DiamondSpec,
@@ -302,6 +310,30 @@ def test_lex_stream_matches_single_builds():
             assert ball == lex_subdivision(spec, a) == _lex_by_relabeling(spec, a), (spec, a)
             cases += 1
     assert cases == 523
+
+
+def _glue_by_joins(c, x, t_labels):
+    """The MW gluing as joins: simplex(T) * lk(x) together with boundary(T) * ast(x).
+
+    The reference for the one gluing rule of the module, built from link,
+    antistar and join instead of a rule on cells.
+    """
+    through_x = simplex_complex(t_labels).join(c.link([x]))
+    avoiding_x = simplex_boundary(t_labels).join(c.antistar([x]))
+    return SimplicialComplex(through_x.facets | avoiding_x.facets)
+
+
+def test_gluing_matches_the_join_reference():
+    """MW boundary and Lex_a of every MW base in the stream grid, plus K = 1 and K = D."""
+    bases = [spec for spec in _stream_specs() if isinstance(spec, MWSpec)]
+    cases = 0
+    for spec in bases + [MWSpec(1, 3, 6), MWSpec(1, 4, 8), MWSpec(3, 3, 8)]:
+        x, t_labels = cvert(spec.c_count), spec.t_labels
+        assert _glue_by_joins(cyclic_facets(spec.K, spec.c_count), x, t_labels) == mw_boundary(spec), spec
+        for a, cyclic_lex in lex_subdivisions(CyclicSpec(spec.K, spec.c_count)):
+            assert _glue_by_joins(cyclic_lex, x, t_labels) == lex_mw_from_cyclic(spec, cyclic_lex), (spec, a)
+            cases += 1
+    assert len(bases) == 79 and cases == 272 + 3 + 4 + 5  # one per grid diamond, then the three extra specs
 
 
 def test_lex_stream_runs_one_push_chain(monkeypatch):

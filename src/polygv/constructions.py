@@ -17,13 +17,12 @@ MW polytope with one vertex fewer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .complexes import APEX, Label, SimplicialComplex, cvert, tvert
-from .vectors import GVector, mchoose
+from .vectors import GVector, Record, mchoose
 
 __all__ = [
     "CyclicSpec",
@@ -44,20 +43,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CyclicSpec:
+class CyclicSpec(Record):
     """Cyclic K-polytope with m ordered vertices."""
 
+    __slots__ = ("K", "m")
     K: int
     m: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 1 <= self.K < self.m:
             raise ValueError(f"cyclic spec needs 1 <= K < m, got K={self.K}, m={self.m}")
 
 
-@dataclass(frozen=True)
-class MWSpec:
+class MWSpec(Record):
     """MW polytope parameters: cyclic factor dimension K, polytope dimension D, N vertices.
 
     K = 1 is admitted beyond the usual 2 <= K range: the cyclic factor then
@@ -66,11 +64,12 @@ class MWSpec:
     produces one level down.
     """
 
+    __slots__ = ("K", "D", "N")
     K: int
     D: int
     N: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (1 <= self.K <= self.D < self.N):
             raise ValueError(
                 f"MW spec needs 1 <= K <= D < N, got K={self.K}, D={self.D}, N={self.N}"
@@ -91,16 +90,16 @@ class MWSpec:
         return tuple(tvert(j) for j in range(1, self.t_count + 1))
 
 
-@dataclass(frozen=True)
-class DiamondSpec:
+class DiamondSpec(Record):
     """The a-th lexicographic diamond over the MW base with parameters (k, d, n)."""
 
+    __slots__ = ("k", "d", "n", "a")
     k: int
     d: int
     n: int
     a: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.k < 1:
             raise ValueError("diamond spec needs k >= 1")
         if not self.n >= self.d >= 2 * self.k + 2:

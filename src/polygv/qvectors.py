@@ -12,15 +12,15 @@ by at least two independent routes that must agree exactly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .constructions import diamond_g_closed, diamonds
 from .vectors import (
     CubicalG,
     GVector,
+    Record,
     ShortCubicalG,
     ShortCubicalH,
     f_to_h,
@@ -30,6 +30,9 @@ from .vectors import (
     hsc_to_hc,
     mchoose,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "QSpec",
@@ -53,15 +56,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QSpec:
+class QSpec(Record):
     """Parameters of the cubical d-polytope built over the (k, d, n) MW base."""
 
+    __slots__ = ("k", "d", "n")
     k: int
     d: int
     n: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.k < 1:
             raise ValueError("QSpec needs k >= 1")
         if not self.n >= self.d >= 2 * self.k + 2:
@@ -93,16 +96,26 @@ def diamond_index_of_sign_vector(sigma: str, n: int, d: int) -> int:
     return cap
 
 
+@cache
+def _first_plus_counts(n: int) -> tuple[tuple[int, int], ...]:
+    """(first plus position, how many of the 2^n sign vectors have it), 0 for none.
+
+    Bit i is coordinate i + 1, so the lowest set bit gives the first plus.
+    Cached: one enumeration serves every d at this n.
+    """
+    return tuple(Counter((bits & -bits).bit_length() for bits in range(1 << n)).items())
+
+
 def vertex_figure_histogram_brute(n: int, d: int) -> dict[int, int]:
     """Histogram by enumerating all 2^n sign vectors; only sensible for n <= 20."""
+    if not n >= d >= 1:
+        raise ValueError(f"histogram needs n >= d >= 1, got n={n}, d={d}")
     if n > 20:
         raise ValueError("brute histogram limited to n <= 20")
     tally: dict[int, int] = {}
     cap = n - d + 1
-    # bit i is coordinate i + 1, so the lowest set bit gives the first plus
-    # (0 when there is none); the cap folds in once per position, not per vector
-    firsts = Counter((bits & -bits).bit_length() for bits in range(1 << n))
-    for first, count in firsts.items():
+    # the cap folds in once per position, not per vector
+    for first, count in _first_plus_counts(n):
         a = min(first or cap, cap)
         tally[a] = tally.get(a, 0) + count
     return dict(sorted(tally.items()))
@@ -221,8 +234,8 @@ def full_hsc_q(spec: QSpec) -> ShortCubicalH:
 # -- the binomial identity ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinomialIdentityResult:
+class BinomialIdentityResult(Record):
+    __slots__ = ("left", "right")
     left: int
     right: int
 
@@ -249,10 +262,10 @@ def binomial_identity_check(k: int, m: int) -> BinomialIdentityResult:
 # -- ray convergence -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RayRow:
+class RayRow(Record):
     """One report row: exact g^c tail and its normalization by 2^n mchoose(n-d, k)."""
 
+    __slots__ = ("k", "d", "n", "gc", "normalized", "dominant_index")
     k: int
     d: int
     n: int
@@ -267,6 +280,10 @@ def ray_convergence_report(k: int, d: int, n_values: Iterable[int]) -> list[RayR
     Rows with n = d have a zero denominator; they are emitted unnormalized
     and flagged by normalized=None.
     """
+    # imported here: `fractions` loads `decimal`, start-up time that the
+    # other callers of this module would pay for nothing
+    from fractions import Fraction
+
     rows = []
     for n in sorted(set(n_values)):
         spec = QSpec(k, d, n)

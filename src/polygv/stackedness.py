@@ -12,7 +12,6 @@ any global cubical stacked subdivision.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -20,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .complexes import APEX, Label, SimplicialComplex, cvert, label_str
 from .constructions import DiamondSpec
 from .qvectors import diamond_index_of_sign_vector
+from .vectors import Record
 
 __all__ = [
     "MISSING_1",
@@ -47,10 +47,10 @@ FACET_II = "facet-II"
 UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
-class ClassifiedFace:
+class ClassifiedFace(Record):
     """A vertex subset of a diamond boundary together with its classification."""
 
+    __slots__ = ("vertices", "tag")
     vertices: frozenset[Label]
     tag: str
 
@@ -58,12 +58,12 @@ class ClassifiedFace:
         return [label_str(v) for v in sorted(self.vertices)]
 
 
-@dataclass(frozen=True)
-class IncompatibilityWitness:
+class IncompatibilityWitness(Record):
     """A sign vector, its diamond index a, the flipped neighbor's index b > a,
     and one face that is a stacked facet in the a-th diamond but matches
     neither facet type in the b-th."""
 
+    __slots__ = ("k", "d", "n", "sigma", "a", "b", "face", "face_type_in_a", "face_type_in_b")
     k: int
     d: int
     n: int
@@ -75,7 +75,9 @@ class IncompatibilityWitness:
     face_type_in_b: str
 
     def to_json_obj(self) -> dict:
-        return {**asdict(self), "face": [label_str(v) for v in sorted(self.face)]}
+        obj = {name: getattr(self, name) for name in self.__slots__}
+        obj["face"] = [label_str(v) for v in sorted(self.face)]
+        return obj
 
 
 def _layout(k: int, d: int, n: int, a: int) -> tuple[int, frozenset[Label]]:

@@ -9,11 +9,12 @@ dimension d are the main source of bugs in this calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
+from operator import attrgetter
 
 __all__ = [
+    "Record",
     "FVector",
     "HVector",
     "GVector",
@@ -49,14 +50,66 @@ def mchoose(m: int, i: int) -> int:
     return comb(m + i - 1, i)
 
 
-@dataclass(frozen=True)
-class FVector:
+class Record:
+    """An immutable value: positional fields, equal and hashed by value.
+
+    A subclass lists its fields in order in ``__slots__`` and annotates each
+    one.  ``__init__`` binds the values positionally, then ``_check`` rejects
+    bad ones.  Two values are equal only within one class; the hash is that
+    of the field tuple, and the repr reads ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._setters):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._setters)} fields, got {len(values)}"
+            )
+        for bind, value in zip(self._setters, values):
+            bind(self, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError on bad field values; the base accepts any."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+
+class FVector(Record):
     """Face counts (f_{-1}, f_0, ..., f_dim) of a (dim)-dimensional complex."""
 
+    __slots__ = ("dim", "counts")
     dim: int
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.counts) != self.dim + 2:
             raise ValueError(
                 f"FVector of dim {self.dim} needs {self.dim + 2} entries, got {len(self.counts)}"
@@ -67,72 +120,72 @@ class FVector:
             raise ValueError("face counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(Record):
     """Simplicial h-vector (h_0, ..., h_D) of a (D-1)-complex."""
 
+    __slots__ = ("D", "entries")
     D: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.entries) != self.D + 1:
             raise ValueError(
                 f"HVector with D={self.D} needs {self.D + 1} entries, got {len(self.entries)}"
             )
 
 
-@dataclass(frozen=True)
-class GVector:
+class GVector(Record):
     """Simplicial g-vector (g_0, ..., g_{floor(D/2)})."""
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ShortCubicalH:
+class ShortCubicalH(Record):
     """Short cubical h-vector (h^sc_0, ..., h^sc_{d-1}) of a cubical (d-1)-complex."""
 
+    __slots__ = ("d", "entries")
     d: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.entries) != self.d:
             raise ValueError(f"ShortCubicalH with d={self.d} needs {self.d} entries")
 
 
-@dataclass(frozen=True)
-class CubicalH:
+class CubicalH(Record):
     """Long cubical h-vector (h^c_0, ..., h^c_d), seeded by h^c_0 = 2^(d-1)."""
 
+    __slots__ = ("d", "entries")
     d: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.entries) != self.d + 1:
             raise ValueError(f"CubicalH with d={self.d} needs {self.d + 1} entries")
 
 
-@dataclass(frozen=True)
-class ShortCubicalG:
+class ShortCubicalG(Record):
     """Short cubical g-vector (g^sc_0, ..., g^sc_{floor((d-1)/2)})."""
 
+    __slots__ = ("d", "entries")
     d: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         want = (self.d - 1) // 2 + 1
         if len(self.entries) != want:
             raise ValueError(f"ShortCubicalG with d={self.d} needs {want} entries")
 
 
-@dataclass(frozen=True)
-class CubicalG:
+class CubicalG(Record):
     """Long cubical g-vector (g^c_0, ..., g^c_{floor(d/2)}), g^c_0 = 2^(d-1)."""
 
+    __slots__ = ("d", "entries")
     d: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         want = self.d // 2 + 1
         if len(self.entries) != want:
             raise ValueError(f"CubicalG with d={self.d} needs {want} entries")

@@ -14,7 +14,6 @@ results into pass/fail lines and an exit code.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -35,13 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckResult:
     """One named result and its tally: the cases run and every failure seen."""
 
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cases = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:

@@ -50,6 +50,13 @@ def test_histogram_matches_enumeration(n, d):
     assert list(brute.items()) == list(closed.items()) == sorted(closed.items())
 
 
+@pytest.mark.parametrize("n,d", [(5, 7), (3, 0), (-1, 1), (-1, -2)])
+def test_brute_histogram_rejects_what_the_closed_form_rejects(n, d):
+    for histogram in (vertex_figure_histogram, vertex_figure_histogram_brute):
+        with pytest.raises(ValueError, match="histogram needs n >= d >= 1"):
+            histogram(n, d)
+
+
 def test_sign_vector_index():
     assert diamond_index_of_sign_vector("+--------", 9, 6) == 1
     assert diamond_index_of_sign_vector("---------", 9, 6) == 4

@@ -1,13 +1,20 @@
+import importlib
+import pickle
+from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as stn
 
+from polygv.constructions import DiamondSpec
+from polygv.qvectors import RayRow
 from polygv.vectors import (
     CubicalG,
+    CubicalH,
     FVector,
     GVector,
     HVector,
+    Record,
     ShortCubicalG,
     check_cubical_DS,
     check_simplicial_DS,
@@ -211,3 +218,60 @@ def test_vector_length_validation():
         ShortCubicalG(6, (1, 2))
     with pytest.raises(ValueError):
         CubicalG(6, (1, 2, 3))
+
+
+# -- the Record contract: what callers rely on from every spec and vector ------
+
+
+def test_record_equality_holds_only_within_one_class():
+    assert HVector(3, (1, 1, 1, 1)) == HVector(3, (1, 1, 1, 1))
+    assert HVector(3, (1, 1, 1, 1)) != HVector(3, (1, 2, 2, 1))
+    assert HVector(3, (1, 1, 1, 1)) != CubicalH(3, (1, 1, 1, 1))
+
+
+def test_record_hash_is_the_hash_of_its_field_tuple():
+    assert hash(DiamondSpec(1, 6, 9, 2)) == hash((1, 6, 9, 2))
+    assert hash(GVector((1, 2))) == hash(((1, 2),))
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    spec = DiamondSpec(1, 6, 9, 2)
+    with pytest.raises(AttributeError):
+        spec.a = 3
+    with pytest.raises(AttributeError):
+        del spec.a
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert spec == DiamondSpec(1, 6, 9, 2)
+
+
+@pytest.mark.parametrize("values", [(3,), (3, (1, 1, 1, 1), 0), ()])
+def test_record_takes_exactly_its_fields(values):
+    with pytest.raises(TypeError):
+        HVector(*values)
+
+
+def test_record_repr_names_every_field():
+    assert repr(DiamondSpec(1, 6, 9, 2)) == "DiamondSpec(k=1, d=6, n=9, a=2)"
+    row = RayRow(1, 6, 7, (64, 64, 0), (Fraction(1, 2), Fraction(1, 2), Fraction(0)), 1)
+    assert repr(row) == (
+        "RayRow(k=1, d=6, n=7, gc=(64, 64, 0), "
+        "normalized=(Fraction(1, 2), Fraction(1, 2), Fraction(0, 1)), dominant_index=1)"
+    )
+
+
+def test_record_survives_a_pickle_round_trip():
+    for value in (DiamondSpec(1, 6, 9, 2), GVector((1, 2))):
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_record_slots_list_the_annotated_fields_in_order():
+    records = [
+        cls
+        for module in ("vectors", "complexes", "constructions", "qvectors", "stackedness")
+        for cls in vars(importlib.import_module(f"polygv.{module}")).values()
+        if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == f"polygv.{module}"
+    ]
+    assert len(records) == 16  # Record itself and 15 values
+    for cls in records:
+        assert tuple(cls.__annotations__) == cls.__slots__, cls.__name__

@@ -31,7 +31,6 @@ __all__ = [
     "parse_label",
     "LinkConditionError",
     "SimplicialComplex",
-    "simplex_complex",
     "simplex_boundary",
 ]
 
@@ -219,17 +218,6 @@ class SimplicialComplex:
             raise ValueError(f"{sorted(map(label_str, fs))} is not a face")
         return SimplicialComplex(rest)
 
-    def antistar(self, face: Iterable[Label]) -> "SimplicialComplex":
-        """The subcomplex of faces that do not contain `face`."""
-        fs = frozenset(face)
-        candidates: set[frozenset[Label]] = set()
-        for f in self.facets:
-            if fs <= f:
-                candidates.update(f - {v} for v in fs)
-            else:
-                candidates.add(f)
-        return SimplicialComplex(candidates)
-
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Join: facets are pairwise unions; vertex sets must be disjoint."""
         mine, theirs = set(self.vertices), set(other.vertices)
@@ -322,11 +310,6 @@ class SimplicialComplex:
             f"SimplicialComplex(dim={self.dim}, vertices={len(self.vertices)}, "
             f"facets={len(self.facets)})"
         )
-
-
-def simplex_complex(labels: Iterable[Label]) -> SimplicialComplex:
-    """The full simplex on the given vertices."""
-    return SimplicialComplex([frozenset(labels)])
 
 
 def simplex_boundary(labels: Iterable[Label]) -> SimplicialComplex:

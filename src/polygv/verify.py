@@ -9,6 +9,10 @@ order, and ``SUITES`` is derived from it.  A check's body gets one
 and every failure is kept.  A body that raises records the exception as one
 failure on each of its results instead of ending the run.  The CLI turns the
 results into pass/fail lines and an exit code.
+
+A check registered with ``per_diamond=True`` takes one ``Diamond`` of
+``diamond_grid()`` at a time.  All such checks of a run share one walk, so
+each grid diamond is built once per run.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import functools
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import complexes as cx
 from . import constructions as cons
@@ -70,32 +74,45 @@ class CheckResult:
 
 # (suite, result names) -> check, in definition order.  Each value is also the
 # module attribute of its name; perfbench/tracer.py rebinds both to one timed
-# wrapper, so a traced run times every check that run_suite calls.
+# wrapper, so a traced run times every plain check that run_suite calls (the
+# per-diamond bodies run inside the walk, untimed).
 CHECKS: dict[tuple[str, tuple[str, ...]], Callable[[], CheckResult | list[CheckResult]]] = {}
+# The body of each check registered with per_diamond=True, by the same key.
+_PER_DIAMOND: dict[tuple[str, tuple[str, ...]], Callable[..., None]] = {}
 
 
-def check(suite: str, *names: str):
+def _fail(results: list[CheckResult], exc: Exception) -> None:
+    for r in results:
+        r.expect(False, f"raised {type(exc).__name__}: {exc}")
+
+
+def check(suite: str, *names: str, per_diamond: bool = False):
     """Register the decorated body as a check of ``suite`` with one result per name.
 
-    The body takes one ``CheckResult`` per name.  The registered check takes
-    no argument and returns its result, or its list of results when it has
-    several names.  If the body raises, each result keeps what it counted and
-    fails once more, naming the exception.
+    The body takes one ``CheckResult`` per name; with ``per_diamond`` it takes
+    a ``Diamond`` first and gets each diamond of ``diamond_grid()`` in turn.
+    The registered check takes no argument and returns its result, or its
+    list of results when it has several names.  If the body raises, each
+    result keeps what it counted and fails once more, naming the exception.
     """
-    full = tuple(f"{suite}: {name}" for name in names)
+    key = (suite, tuple(f"{suite}: {name}" for name in names))
 
     def register(body: Callable[..., None]):
         @functools.wraps(body)
         def run():
-            results = [CheckResult(name) for name in full]
-            try:
-                body(*results)
-            except Exception as exc:
-                for r in results:
-                    r.expect(False, f"raised {type(exc).__name__}: {exc}")
+            if per_diamond:
+                results = _run([key])
+            else:
+                results = [CheckResult(name) for name in key[1]]
+                try:
+                    body(*results)
+                except Exception as exc:
+                    _fail(results, exc)
             return results if len(results) > 1 else results[0]
 
-        CHECKS[suite, full] = run
+        CHECKS[key] = run
+        if per_diamond:
+            _PER_DIAMOND[key] = body
         return run
 
     return register
@@ -140,6 +157,44 @@ def q_specs() -> list[qv.QSpec]:
 def blind_specs() -> list[tuple[int, int]]:
     """Every (d, k) with d <= 12, k <= d/2."""
     return [(d, k) for d in range(2, 13) for k in range(1, d // 2 + 1)]
+
+
+class Diamond(vec.Record):
+    """One diamond of the walk and what it shares with its layer."""
+
+    __slots__ = ("spec", "rim", "ball", "cyclic_lex", "dia", "previous", "h_lk")
+    spec: cons.DiamondSpec
+    rim: cx.SimplicialComplex
+    ball: cx.SimplicialComplex
+    cyclic_lex: cx.SimplicialComplex  # Lex_a of the base's cyclic factor
+    dia: cx.SimplicialComplex
+    previous: tuple[cx.SimplicialComplex, ...]  # the diamonds of (k, d, n-1), a = 1, 2, ...
+    h_lk: tuple[int, ...]  # the h-vector of the link of c1 in the layer's a = 1 rim
+
+
+def diamond_grid() -> Iterator[Diamond]:
+    """Every diamond of the grid k <= 3, 2k+2 <= d <= 10, d <= n <= 12.
+
+    For each (k, d) the layers n = d, d+1, ... are streamed in order: one rim,
+    one push chain on the base, one on its cyclic factor and one rim link per
+    layer, each diamond capped once.  The contraction of (k, d, n, a) lands on
+    (k, d, n-1, a-1), so only the previous layer's diamonds are kept.
+    """
+    for k in range(1, 4):
+        for d in range(2 * k + 2, 11):
+            previous: tuple[cx.SimplicialComplex, ...] = ()
+            for n in range(d, 13):
+                layer = []
+                base = cons.DiamondSpec(k, d, n, 1).base
+                cyclic = cons.lex_subdivisions(cons.CyclicSpec(base.K, base.c_count))
+                for (spec, rim, ball, dia), (_, cyclic_lex) in zip(
+                    cons.diamonds(k, d, n), cyclic, strict=True
+                ):
+                    if spec.a == 1:
+                        h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), d - 3).entries
+                    yield Diamond(spec, rim, ball, cyclic_lex, dia, previous, h_lk)
+                    layer.append(dia)
+                previous = tuple(layer)
 
 
 # --------------------------------------------------------------------------
@@ -303,12 +358,6 @@ def check_construction_named_examples(r: CheckResult) -> None:
         expect(got.entries == want_g, f"g of diamond a={a} at (1,6,9)")
         expect(cons.diamond_g_closed(1, 6, 9, a).entries == want_g, f"closed g a={a}")
 
-    ast = pent.antistar([cx.cvert(5)])
-    want_path = frozenset(
-        frozenset(map(cx.cvert, t)) for t in [(1, 2), (2, 3), (3, 4)]
-    )
-    expect(ast.facets == want_path, "antistar of the last pentagon vertex")
-
     tetra = cx.simplex_boundary([cx.plain(i) for i in range(1, 5)])
     lk = tetra.link([cx.plain(1)])
     expect(lk == cx.simplex_boundary([cx.plain(i) for i in range(2, 5)]), "vertex link in a 3-simplex boundary")
@@ -379,18 +428,11 @@ def _plus_t(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _expect_lex(
-    r: CheckResult,
-    at: str,
-    spec: cons.DiamondSpec,
-    rim: cx.SimplicialComplex,
-    ball: cx.SimplicialComplex,
-    cyclic_lex: cx.SimplicialComplex,
-) -> None:
-    """`cyclic_lex` is Lex_a of the base's cyclic factor, from the layer's own stream."""
-    base = spec.base
+def _expect_lex(r: CheckResult, diamond: Diamond) -> None:
+    """Both routes give the same ball, and the ball has the rim as its boundary."""
+    base, rim, ball, at = diamond.spec.base, diamond.rim, diamond.ball, str(diamond.spec)
     r.expect(
-        ball == cons.lex_mw_from_cyclic(base, cyclic_lex),
+        ball == cons.lex_mw_from_cyclic(base, diamond.cyclic_lex),
         f"{at}: cyclic-factor route differs from push/pull route",
     )
     r.expect(ball.is_pure() and ball.dim == base.D, f"{at}: subdivision is not pure of the base dimension")
@@ -398,20 +440,14 @@ def _expect_lex(
     r.expect(cons.ball_boundary(ball) == rim, f"{at}: subdivision boundary differs from the base boundary")
 
 
-def _expect_relations(
-    r: CheckResult,
-    at: str,
-    spec: cons.DiamondSpec,
-    rim: cx.SimplicialComplex,
-    ball: cx.SimplicialComplex,
-    dia: cx.SimplicialComplex,
-) -> None:
+def _expect_relations(r: CheckResult, diamond: Diamond) -> None:
     """The diamond is the ball capped by the apex cone over its rim: f(D) = f(B) + t*f(R)."""
+    spec, dia, at = diamond.spec, diamond.dia, str(diamond.spec)
     r.expect(dia.is_pure() and dia.dim == spec.d - 2, f"{at}: boundary not a pure (d-2)-complex")
     r.expect(dia.euler_characteristic() == 1 + (-1) ** (spec.d - 2), f"{at}: Euler relation fails")
     fd = dia.f_vector()
     r.expect(
-        fd.counts == _plus_t(ball.f_vector().counts, rim.f_vector().counts),
+        fd.counts == _plus_t(diamond.ball.f_vector().counts, diamond.rim.f_vector().counts),
         f"{at}: f-polynomial relation fails",
     )
     got = vec.h_to_g(vec.f_to_h(fd, spec.d - 1))
@@ -421,20 +457,14 @@ def _expect_relations(
     )
 
 
-def _expect_contraction(
-    r: CheckResult,
-    at: str,
-    spec: cons.DiamondSpec,
-    dia: cx.SimplicialComplex,
-    previous: list[cx.SimplicialComplex],
-    h_lk: tuple[int, ...],
-) -> None:
-    """Contract {c1, apex}; `previous` holds the diamonds of (k, d, n-1), a = 1, 2, ...
+def _expect_contraction(r: CheckResult, diamond: Diamond) -> None:
+    """Contract {c1, apex}.
 
     At a = 1 the link condition fails and the contraction must refuse.
-    Otherwise it must land on the previous diamond, with h(D) = h(D/e) + t*h_lk,
-    where `h_lk` is the h-vector of the rim's link of c1, shared by the layer.
+    Otherwise it must land on the previous layer's diamond at a-1, with
+    h(D) = h(D/e) + t*h_lk.
     """
+    spec, dia, at = diamond.spec, diamond.dia, str(diamond.spec)
     if spec.a == 1:
         try:
             dia.contract_edge(cx.cvert(1), cx.APEX)
@@ -448,10 +478,10 @@ def _expect_contraction(
     relabeled = contracted.relabel(
         {cx.cvert(1): cx.APEX, **{cx.cvert(i): cx.cvert(i - 1) for i in range(2, m + 1)}}
     )
-    r.expect(relabeled == previous[spec.a - 2], f"{at}: contraction is not the previous diamond")
+    r.expect(relabeled == diamond.previous[spec.a - 2], f"{at}: contraction is not the previous diamond")
     h_dia = vec.f_to_h(dia.f_vector(), spec.d - 1).entries
     h_con = vec.f_to_h(contracted.f_vector(), spec.d - 1).entries
-    r.expect(h_dia == _plus_t(h_con, h_lk), f"{at}: h-polynomial contraction relation fails")
+    r.expect(h_dia == _plus_t(h_con, diamond.h_lk), f"{at}: h-polynomial contraction relation fails")
 
 
 @check(
@@ -459,41 +489,20 @@ def _expect_contraction(
     "lexicographic subdivisions (both routes)",
     "diamond f-relation and closed-form g",
     "edge contraction onto the previous diamond",
+    per_diamond=True,
 )
-def check_diamond_grid(lex: CheckResult, rel: CheckResult, con: CheckResult) -> None:
-    """Lex subdivisions, diamond relations and contractions in one pass over the grid.
-
-    The grid is k <= 3, d <= 10, n <= 12.  For each (k, d) the layers
-    n = d, d+1, ... are streamed in order: one rim, one push chain on the
-    base, one on its cyclic factor and one rim link per layer, each diamond
-    capped once.  The contraction of (k, d, n, a) lands on (k, d, n-1, a-1),
-    so only the previous layer's diamonds are kept.  Each of the three checks gets its own result.
-    """
-    for k in range(1, 4):
-        for d in range(2 * k + 2, 11):
-            previous: list[cx.SimplicialComplex] = []
-            for n in range(d, 13):
-                layer = []
-                base = cons.DiamondSpec(k, d, n, 1).base
-                cyclic = cons.lex_subdivisions(cons.CyclicSpec(base.K, base.c_count))
-                for (spec, rim, ball, dia), (_, cyclic_lex) in zip(
-                    cons.diamonds(k, d, n), cyclic, strict=True
-                ):
-                    if spec.a == 1:
-                        h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), d - 3).entries
-                    at = str(spec)
-                    _expect_lex(lex, at, spec, rim, ball, cyclic_lex)
-                    _expect_relations(rel, at, spec, rim, ball, dia)
-                    _expect_contraction(con, at, spec, dia, previous, h_lk)
-                    layer.append(dia)
-                previous = layer
+def check_diamond_grid(diamond: Diamond, lex: CheckResult, rel: CheckResult, con: CheckResult) -> None:
+    """Lex subdivisions, diamond relations and contractions, each with its own result."""
+    _expect_lex(lex, diamond)
+    _expect_relations(rel, diamond)
+    _expect_contraction(con, diamond)
 
 
 @check("constructions", "join multiplies f-polynomials")
 def check_join_f_polynomial(r: CheckResult) -> None:
     pent = cons.cyclic_facets(2, 5)
     tetra = cx.simplex_boundary([cx.tvert(i) for i in range(1, 5)])
-    edge = cx.simplex_complex([cx.plain(1), cx.plain(2)])
+    edge = cx.SimplicialComplex([[cx.plain(1), cx.plain(2)]])
     s0 = cx.SimplicialComplex([[cx.plain(3)], [cx.plain(4)]])
     for a, b in [(pent, tetra), (pent, edge), (tetra, s0), (edge, s0)]:
         joined = a.join(b)
@@ -718,35 +727,34 @@ def check_stack_named_examples(r: CheckResult) -> None:
     r.raises(lambda: st.incompatibility_witness(1, 6, 6), "witness produced with n=d")
 
 
-@check("stackedness", "predicted vs brute missing faces", "predicted vs oracle stacked facets")
-def check_stack_grid(miss: CheckResult, fac: CheckResult) -> None:
-    """Missing faces and stacked facets of the k = 1 diamonds in one pass.
+@check("stackedness", "predicted vs brute missing faces", "predicted vs oracle stacked facets", per_diamond=True)
+def check_stack_grid(diamond: Diamond, miss: CheckResult, fac: CheckResult) -> None:
+    """Missing faces and stacked facets of the walk's k = 1 diamonds with d in (6, 8), n <= d+4.
 
-    The grid is d in (6, 8), d <= n <= d+4.  Each (d, n) layer comes from
-    one ``cons.diamonds`` stream.  A diamond's predicted missing faces are
-    computed once and read by both checks, which each get their own result.
+    A diamond's predicted missing faces are computed once and read by both
+    checks, which each get their own result.
     """
-    for d in (6, 8):
-        for n in range(d, d + 5):
-            for spec, _, _, dia in cons.diamonds(1, d, n):
-                k, a = spec.k, spec.a
-                at = f"(k={k}, d={d}, n={n}, a={a})"
-                missing = {cf.vertices for cf in st.predicted_missing_faces(k, d, n, a)}
-                brute = set(st.brute_missing_faces(dia, k + 2))
-                miss.expect(missing == brute, f"missing faces differ at {at}")
-                miss.expect(all(len(f) > k for f in brute), f"neighborliness violated at {at}")
-                predicted = {cf.vertices for cf in st.predicted_stacked_facets(k, d, n, a)}
-                oracle = set(st.oracle_stacked_facets(dia, d, k))
-                fac.expect(predicted == oracle, f"stacked facets differ at {at}")
-                fac.expect(
-                    not any(m <= facet for facet in predicted for m in missing),
-                    f"facet contains a missing face at {at}",
-                )
-                # a boundary face lies in an oracle facet when its facet does
-                fac.expect(
-                    all(any(facet <= o for o in oracle) for facet in dia.facets),
-                    f"boundary face not covered at {at}",
-                )
+    k, d, n, a = diamond.spec.k, diamond.spec.d, diamond.spec.n, diamond.spec.a
+    if k != 1 or d not in (6, 8) or n > d + 4:
+        return
+    dia = diamond.dia
+    at = f"(k={k}, d={d}, n={n}, a={a})"
+    missing = {cf.vertices for cf in st.predicted_missing_faces(k, d, n, a)}
+    brute = set(st.brute_missing_faces(dia, k + 2))
+    miss.expect(missing == brute, f"missing faces differ at {at}")
+    miss.expect(all(len(f) > k for f in brute), f"neighborliness violated at {at}")
+    predicted = {cf.vertices for cf in st.predicted_stacked_facets(k, d, n, a)}
+    oracle = set(st.oracle_stacked_facets(dia, d, k))
+    fac.expect(predicted == oracle, f"stacked facets differ at {at}")
+    fac.expect(
+        not any(m <= facet for facet in predicted for m in missing),
+        f"facet contains a missing face at {at}",
+    )
+    # a boundary face lies in an oracle facet when its facet does
+    fac.expect(
+        all(any(facet <= o for o in oracle) for facet in dia.facets),
+        f"boundary face not covered at {at}",
+    )
 
 
 @check("stackedness", "incompatibility witness on the grid")
@@ -779,13 +787,34 @@ def check_cube_graph(r: CheckResult) -> None:
 SUITES: tuple[str, ...] = tuple(dict.fromkeys(suite for suite, _ in CHECKS))
 
 
+def _run(keys: list[tuple[str, tuple[str, ...]]]) -> list[CheckResult]:
+    """The results of the checks of ``keys``, in order; the per-diamond ones share one walk.
+
+    A per-diamond body that raises fails as a plain check does and gets no
+    further diamond; if the walk itself raises, every body still running fails.
+    """
+    walked = {key: [CheckResult(name) for name in key[1]] for key in keys if key in _PER_DIAMOND}
+    live = list(walked)
+    try:
+        for diamond in diamond_grid() if live else ():
+            for key in list(live):
+                try:
+                    _PER_DIAMOND[key](diamond, *walked[key])
+                except Exception as exc:
+                    _fail(walked[key], exc)
+                    live.remove(key)
+    except Exception as exc:
+        for key in live:
+            _fail(walked[key], exc)
+    results: list[CheckResult] = []
+    for key in keys:
+        out = walked[key] if key in walked else CHECKS[key]()
+        results += out if len(key[1]) > 1 else [out]
+    return results
+
+
 def run_suite(name: str) -> list[CheckResult]:
     """Run every check of suite ``name`` ("all" for every suite), in registry order."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    results: list[CheckResult] = []
-    for (suite, names), run in CHECKS.items():
-        if name in ("all", suite):
-            out = run()
-            results += out if len(names) > 1 else [out]
-    return results
+    return _run([key for key in CHECKS if name in ("all", key[0])])

@@ -14,7 +14,6 @@ from polygv.complexes import (
     parse_label,
     plain,
     simplex_boundary,
-    simplex_complex,
     tvert,
 )
 from polygv.constructions import DiamondSpec, diamond_boundary, mw_boundary
@@ -96,13 +95,6 @@ def test_link_builds_no_closure():
     assert dia._faces is None
 
 
-def test_antistar_of_pentagon_vertex():
-    pent = SimplicialComplex([[cvert(a), cvert(b)] for a, b in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]])
-    ast = pent.antistar([cvert(5)])
-    want = {frozenset({cvert(a), cvert(b)}) for a, b in [(1, 2), (2, 3), (3, 4)]}
-    assert ast.facets == want
-
-
 def test_join_zero_spheres_is_square():
     a = SimplicialComplex([[plain(1)], [plain(2)]])
     b = SimplicialComplex([[plain(3)], [plain(4)]])
@@ -120,7 +112,7 @@ def test_join_point_is_cone():
 
 def test_join_rejects_shared_vertices():
     with pytest.raises(ValueError):
-        TETRA.join(simplex_complex([plain(4), plain(9)]))
+        TETRA.join(SimplicialComplex([[plain(4), plain(9)]]))
 
 
 @settings(max_examples=40)

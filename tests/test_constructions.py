@@ -8,8 +8,6 @@ from polygv.complexes import (
     LinkConditionError,
     SimplicialComplex,
     cvert,
-    simplex_boundary,
-    simplex_complex,
     tvert,
 )
 from polygv.constructions import (
@@ -316,11 +314,15 @@ def _glue_by_joins(c, x, t_labels):
     """The MW gluing as joins: simplex(T) * lk(x) together with boundary(T) * ast(x).
 
     The reference for the one gluing rule of the module, built from link,
-    antistar and join instead of a rule on cells.
+    antistar and join instead of a rule on cells.  All three are written here
+    on the facets of ``c``; the library only drops the non-maximal sets at the end.
     """
-    through_x = simplex_complex(t_labels).join(c.link([x]))
-    avoiding_x = simplex_boundary(t_labels).join(c.antistar([x]))
-    return SimplicialComplex(through_x.facets | avoiding_x.facets)
+    T = frozenset(t_labels)
+    link = {f - {x} for f in c.facets if x in f}
+    antistar = {f - {x} for f in c.facets}  # some are not maximal; their joins are dropped
+    through_x = {T | g for g in link}
+    avoiding_x = {(T - {t}) | g for t in T for g in antistar}
+    return SimplicialComplex(through_x | avoiding_x)
 
 
 def test_gluing_matches_the_join_reference():

@@ -167,19 +167,81 @@ def test_dropped_missing_face_fails_only_the_missing_check(monkeypatch):
     assert results[MISSING].detail == "1 of 60 cases failed: missing faces differ at (k=1, d=6, n=9, a=2)"
 
 
-def test_stack_grid_builds_one_rim_per_layer(monkeypatch):
+# (k, d, n) layers that one walk of the diamond grid streams, by suite
+WALKED_LAYERS = {"all": 79, "constructions": 79, "stackedness": 79, "transforms": 0, "qvectors": 0}
+
+
+@pytest.mark.parametrize("suite", WALKED_LAYERS)
+def test_one_diamond_walk_per_run(monkeypatch, suite):
+    """Every per-diamond check of a run reads one walk: each layer is streamed once, or never."""
     calls = []
-    mw_boundary = cons.mw_boundary
+    diamonds = cons.diamonds
 
-    def counted(spec):
-        calls.append(spec)
-        return mw_boundary(spec)
+    def counted(k, d, n):
+        calls.append((k, d, n))
+        return diamonds(k, d, n)
 
-    monkeypatch.setattr(cons, "mw_boundary", counted)
-    results = verify.check_stack_grid()
-    assert all(r.passed for r in results)
-    # one per (d, n): d in (6, 8), n = d..d+4
-    assert len(calls) == len(set(calls)) == 10
+    monkeypatch.setattr(cons, "diamonds", counted)
+    assert all(r.passed for r in verify.run_suite(suite))
+    assert len(calls) == len(set(calls)) == WALKED_LAYERS[suite]
+
+
+def test_verify_streams_the_diamonds_in_one_place():
+    """A new per-diamond check extends the walk instead of adding a stream."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "diamonds"
+        and getattr(node.func.value, "id", None) == "cons"
+    ]
+    assert len(calls) == 1
+
+
+def test_a_raising_per_diamond_body_stops_only_its_own_check(monkeypatch, capsys):
+    """The stack grid raises at (1, 8, 10, a=2) and gets no further diamond; the walk goes on."""
+    bad = cons.diamond_boundary(cons.DiamondSpec(1, 8, 10, 2))
+    oracle = st.oracle_stacked_facets
+
+    def raise_at_one(complex_, d, k):
+        if complex_ == bad:
+            raise ValueError("no oracle")
+        return oracle(complex_, d, k)
+
+    monkeypatch.setattr(st, "oracle_stacked_facets", raise_at_one)
+    assert cli.main(["verify", "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    golden = GOLDEN.read_text().splitlines()
+    assert len(lines) == len(golden) == 29
+    assert lines[-1] == "verify: suite=all grid=full checks=28 passed=26 failed=2"
+    # the 19 diamonds before (1, 8, 10, a=2) count 2 and 3 cases each; at it,
+    # the missing check runs before the oracle raises
+    failed = {
+        MISSING: f"FAIL  {MISSING} (1 of 41 cases failed: raised ValueError: no oracle)",
+        FACETS: f"FAIL  {FACETS} (1 of 58 cases failed: raised ValueError: no oracle)",
+    }
+    # every other line, the diamond grid's 1088/1088/465 cases included, is golden
+    for line, want in zip(lines[:-1], golden[:-1]):
+        name = re.fullmatch(r"PASS  (.*) \(\d+ cases\)", want).group(1)
+        assert line == failed.get(name, want)
+
+
+def test_a_raising_walk_fails_each_per_diamond_check_once(monkeypatch):
+    """The walk breaks at layer (2, 8, 11): the checks it feeds fail once each, the others pass."""
+    diamonds = cons.diamonds
+
+    def broken_at_one(k, d, n):
+        if (k, d, n) == (2, 8, 11):
+            raise ValueError("no stream")
+        return diamonds(k, d, n)
+
+    monkeypatch.setattr(cons, "diamonds", broken_at_one)
+    failed = {r.name: (r.cases, r.failures) for r in verify.run_suite("all") if not r.passed}
+    assert list(failed) == [LEX, RELATIONS, CONTRACTION, MISSING, FACETS]
+    assert all(failures == ["raised ValueError: no stream"] for _, failures in failed.values())
+    # the stack grid had checked all its k = 1 diamonds before the walk broke
+    assert failed[MISSING][0] == 61 and failed[FACETS][0] == 91
 
 
 @pytest.fixture(scope="module")

@@ -12,16 +12,22 @@ results into pass/fail lines and an exit code.
 
 A check registered with ``per_diamond=True`` takes one ``Diamond`` of
 ``diamond_grid()`` at a time.  All such checks of a run share one walk, so
-each grid diamond is built once per run.
+each grid diamond is built once per run.  The walk and the plain checks share
+nothing, so a run that selects both kinds, such as ``run_suite("all")``, runs
+its plain checks in one forked child while it walks, where ``os.fork`` exists,
+and merges their results in registry order.  Work done in that child, a
+tracer's spans included, stays in the child.
 """
 
 from __future__ import annotations
 
 import functools
+import marshal
+import os
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from . import complexes as cx
 from . import constructions as cons
@@ -74,11 +80,14 @@ class CheckResult:
 
 # (suite, result names) -> check, in definition order.  Each value is also the
 # module attribute of its name; perfbench/tracer.py rebinds both to one timed
-# wrapper, so a traced run times every plain check that run_suite calls (the
-# per-diamond bodies run inside the walk, untimed).
-CHECKS: dict[tuple[str, tuple[str, ...]], Callable[[], CheckResult | list[CheckResult]]] = {}
+# wrapper.  A traced run times the plain checks only when they run in its own
+# process: alone (transforms, qvectors) or where os.fork does not exist.  Beside
+# a walk they run in a forked child, whose spans the tracer never sees, and the
+# per-diamond bodies run inside the walk, untimed.
+_Key = tuple[str, tuple[str, ...]]  # (suite, result names)
+CHECKS: dict[_Key, Callable[[], CheckResult | list[CheckResult]]] = {}
 # The body of each check registered with per_diamond=True, by the same key.
-_PER_DIAMOND: dict[tuple[str, tuple[str, ...]], Callable[..., None]] = {}
+_PER_DIAMOND: dict[_Key, Callable[..., None]] = {}
 
 
 def _fail(results: list[CheckResult], exc: Exception) -> None:
@@ -124,9 +133,11 @@ Q_K, Q_D, Q_N = 3, 10, 14
 
 
 def thread_count() -> int:
-    """Threads the suites run on: always 1, every check is a plain loop.
+    """Threads per process the suites run on: always 1, every check is a plain loop.
 
-    ``perfbench/child.py`` reports this value as ``verify.threads``.
+    A run that selects per-diamond and plain checks runs the plain ones in a
+    second, forked process, on one thread too.  ``perfbench/child.py`` reports
+    this value as ``verify.threads``.
     """
     return 1
 
@@ -787,13 +798,12 @@ def check_cube_graph(r: CheckResult) -> None:
 SUITES: tuple[str, ...] = tuple(dict.fromkeys(suite for suite, _ in CHECKS))
 
 
-def _run(keys: list[tuple[str, tuple[str, ...]]]) -> list[CheckResult]:
-    """The results of the checks of ``keys``, in order; the per-diamond ones share one walk.
+def _walk(walked: dict[_Key, list[CheckResult]]) -> None:
+    """Feed one walk of ``diamond_grid()`` to the per-diamond checks of ``walked``.
 
     A per-diamond body that raises fails as a plain check does and gets no
     further diamond; if the walk itself raises, every body still running fails.
     """
-    walked = {key: [CheckResult(name) for name in key[1]] for key in keys if key in _PER_DIAMOND}
     live = list(walked)
     try:
         for diamond in diamond_grid() if live else ():
@@ -806,10 +816,82 @@ def _run(keys: list[tuple[str, tuple[str, ...]]]) -> list[CheckResult]:
     except Exception as exc:
         for key in live:
             _fail(walked[key], exc)
+
+
+def _plain(keys: list[_Key]) -> list[CheckResult]:
     results: list[CheckResult] = []
     for key in keys:
-        out = walked[key] if key in walked else CHECKS[key]()
+        out = CHECKS[key]()
         results += out if len(key[1]) > 1 else [out]
+    return results
+
+
+def _fork_plain(keys: list[_Key]) -> tuple[int, BinaryIO]:
+    """Fork a child that runs the plain checks of ``keys``; its pid and the pipe it writes.
+
+    The child sends one marshalled list of (name, cases, failures) and leaves
+    through ``os._exit``, so it never flushes the parent's stdio buffers, runs
+    atexit hooks or returns into the caller.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps([(r.name, r.cases, r.failures) for r in _plain(keys)]))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _tallies(keys: list[_Key], payload: bytes, status: int) -> list[CheckResult]:
+    """The results a child sent; if it died or sent a short payload, each fails once."""
+    names = [name for key in keys for name in key[1]]
+    results = [CheckResult(name) for name in names]
+    try:
+        sent = marshal.loads(payload) if status == 0 else ()
+        if [name for name, _, _ in sent] == names:
+            for r, (_, cases, failures) in zip(results, sent):
+                r.cases, r.failures = cases, failures
+            return results
+    except (EOFError, ValueError, TypeError):
+        pass
+    for r in results:
+        r.expect(False, f"plain-check process ended with wait status {status} after {len(payload)} bytes")
+    return results
+
+
+def _run(keys: list[_Key]) -> list[CheckResult]:
+    """The results of the checks of ``keys``, in order; the per-diamond ones share one walk.
+
+    When ``keys`` holds both kinds and ``os.fork`` exists, the plain checks run
+    in one forked child while this process walks.  The pipe is read to its end
+    before the child is reaped, so no payload size can deadlock.  The child is
+    reaped on every path: if the walk is interrupted, the pipe closes first and
+    the child ends once its checks are done, its write failing or not.
+    """
+    walked = {key: [CheckResult(name) for name in key[1]] for key in keys if key in _PER_DIAMOND}
+    plain = [key for key in keys if key not in walked]
+    if walked and plain and hasattr(os, "fork"):
+        pid, pipe = _fork_plain(plain)
+        try:
+            with pipe:
+                _walk(walked)
+                payload = pipe.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        done = _tallies(plain, payload, status)
+    else:
+        _walk(walked)
+        done = _plain(plain)
+    rest = iter(done)
+    results: list[CheckResult] = []
+    for key in keys:
+        results += walked[key] if key in walked else [next(rest) for _ in key[1]]
     return results
 
 

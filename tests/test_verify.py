@@ -3,6 +3,7 @@ at one spec must fail exactly the check that reads it, name that spec, and
 keep every failure."""
 
 import ast
+import os
 import re
 from pathlib import Path
 
@@ -242,6 +243,97 @@ def test_a_raising_walk_fails_each_per_diamond_check_once(monkeypatch):
     assert all(failures == ["raised ValueError: no stream"] for _, failures in failed.values())
     # the stack grid had checked all its k = 1 diamonds before the walk broke
     assert failed[MISSING][0] == 61 and failed[FACETS][0] == 91
+
+
+WALK_LINES = (LEX, RELATIONS, CONTRACTION, MISSING, FACETS)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dying_plain_check_process_fails_each_plain_result_once(monkeypatch, capsys):
+    """The plain checks' process exits with status 3 at its first check; the walk still passes."""
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() == parent:
+            raise AssertionError("a plain check ran in the walking process")
+        os._exit(3)
+
+    monkeypatch.setitem(verify.CHECKS, next(iter(verify.CHECKS)), die)
+    assert cli.main(["verify", "--suite", "all"]) == 1
+    _no_child_left()
+    lines = capsys.readouterr().out.splitlines()
+    golden = GOLDEN.read_text().splitlines()
+    assert len(lines) == len(golden) == 29
+    assert lines[-1] == "verify: suite=all grid=full checks=28 passed=5 failed=23"
+    died = "1 of 1 cases failed: plain-check process ended with wait status 768 after 0 bytes"
+    for line, want in zip(lines[:-1], golden[:-1]):
+        name = re.fullmatch(r"PASS  (.*) \(\d+ cases\)", want).group(1)
+        assert line == (want if name in WALK_LINES else f"FAIL  {name} ({died})")
+
+
+@pytest.mark.parametrize("raised", [ValueError, KeyboardInterrupt])
+def test_no_process_outlives_a_run(monkeypatch, raised):
+    """The plain checks' process is reaped after a run, and after a walk that raises."""
+    verify.run_suite("all")
+    _no_child_left()
+    diamonds = cons.diamonds
+
+    def broken_at_one(k, d, n):
+        if (k, d, n) == (2, 8, 11):
+            raise raised("no stream")
+        return diamonds(k, d, n)
+
+    monkeypatch.setattr(cons, "diamonds", broken_at_one)
+    if raised is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            verify.run_suite("all")
+    else:
+        assert sum(not r.passed for r in verify.run_suite("all")) == len(WALK_LINES)
+    _no_child_left()
+
+
+# forks per run: plain checks go to a child only when a walk runs beside them
+FORKS = {"all": 1, "constructions": 1, "stackedness": 1, "transforms": 0, "qvectors": 0}
+
+
+@pytest.mark.parametrize("suite", FORKS)
+def test_plain_checks_fork_only_beside_a_walk(monkeypatch, suite):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(suite)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert all(r.passed for r in verify.run_suite(suite))
+    assert len(forks) == FORKS[suite]
+
+
+def test_without_fork_verify_runs_in_process(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_a_payload_larger_than_the_pipe_comes_back_whole(monkeypatch):
+    """Over 64 KB of failure text: the pipe is read to its end before the child is reaped."""
+    gc_q = qv.gc_q
+
+    def huge_negative(spec):
+        g = gc_q(spec)
+        return CubicalG(g.d, g.entries[:2] + (-(10 ** 1000),) + g.entries[3:])
+
+    monkeypatch.setattr(qv, "gc_q", huge_negative)
+    want = verify.check_clbc()
+    assert sum(map(len, want.failures)) > 64 * 1024
+    got = {r.name: r for r in verify.run_suite("all")}[want.name]
+    assert (got.cases, got.failures) == (want.cases, want.failures)
+    _no_child_left()
 
 
 @pytest.fixture(scope="module")

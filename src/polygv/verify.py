@@ -14,9 +14,9 @@ A check registered with ``per_diamond=True`` takes one ``Diamond`` of
 ``diamond_grid()`` at a time.  All such checks of a run share one walk, so
 each grid diamond is built once per run.  The walk and the plain checks share
 nothing, so a run that selects both kinds, such as ``run_suite("all")``, runs
-its plain checks in one forked child while it walks, where ``os.fork`` exists,
-and merges their results in registry order.  Work done in that child, a
-tracer's spans included, stays in the child.
+its plain checks in one forked child while it walks, where ``os.fork`` exists
+and succeeds, and merges their results in registry order.  Work done in that
+child, a tracer's spans included, stays in the child.
 """
 
 from __future__ import annotations
@@ -826,15 +826,22 @@ def _plain(keys: list[_Key]) -> list[CheckResult]:
     return results
 
 
-def _fork_plain(keys: list[_Key]) -> tuple[int, BinaryIO]:
+def _fork_plain(keys: list[_Key]) -> tuple[int, BinaryIO] | None:
     """Fork a child that runs the plain checks of ``keys``; its pid and the pipe it writes.
 
     The child sends one marshalled list of (name, cases, failures) and leaves
     through ``os._exit``, so it never flushes the parent's stdio buffers, runs
-    atexit hooks or returns into the caller.
+    atexit hooks or returns into the caller.  If the fork fails (EAGAIN under
+    a process limit, ENOMEM), both ends of the pipe are closed and the result
+    is None.
     """
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
     if pid:
         os.close(write)
         return pid, open(read, "rb")
@@ -869,15 +876,17 @@ def _run(keys: list[_Key]) -> list[CheckResult]:
     """The results of the checks of ``keys``, in order; the per-diamond ones share one walk.
 
     When ``keys`` holds both kinds and ``os.fork`` exists, the plain checks run
-    in one forked child while this process walks.  The pipe is read to its end
-    before the child is reaped, so no payload size can deadlock.  The child is
-    reaped on every path: if the walk is interrupted, the pipe closes first and
-    the child ends once its checks are done, its write failing or not.
+    in one forked child while this process walks; if the fork fails, they run
+    here after the walk.  The pipe is read to its end before the child is
+    reaped, so no payload size can deadlock.  The child is reaped on every
+    path: if the walk is interrupted, the pipe closes first and the child ends
+    once its checks are done, its write failing or not.
     """
     walked = {key: [CheckResult(name) for name in key[1]] for key in keys if key in _PER_DIAMOND}
     plain = [key for key in keys if key not in walked]
-    if walked and plain and hasattr(os, "fork"):
-        pid, pipe = _fork_plain(plain)
+    forked = _fork_plain(plain) if walked and plain and hasattr(os, "fork") else None
+    if forked:
+        pid, pipe = forked
         try:
             with pipe:
                 _walk(walked)

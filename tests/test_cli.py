@@ -76,59 +76,6 @@ def test_construct_bad_params_is_exit_2(capsys):
     assert "polygv:" in err
 
 
-def test_fvec_and_gvec_simplicial(capsys, tmp_path):
-    source = tmp_path / "c47.json"
-    run_cli(capsys, "construct", "--family", "cyclic", "--K", "4", "--m", "7", "--out", str(source))
-    code, out, _ = run_cli(capsys, "fvec", "--in", str(source))
-    assert code == 0
-    assert json.loads(out) == {"dim": 3, "counts": [1, 7, 21, 28, 14]}
-    code, out, _ = run_cli(capsys, "gvec", "--in", str(source), "--kind", "simplicial")
-    obj = json.loads(out)
-    assert obj["h"] == [1, 3, 6, 3, 1]
-    assert obj["g"] == [1, 2, 3]
-    assert obj["dehn_sommerville"] is True
-
-
-def test_gvec_cubical_from_f(capsys, tmp_path):
-    source = tmp_path / "cube.json"
-    source.write_text(json.dumps({"d": 3, "f": [8, 12, 6]}))
-    code, out, _ = run_cli(capsys, "gvec", "--in", str(source), "--kind", "cubical-from-f")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["hc"] == [4, 4, 4, 4]
-    assert obj["gc"] == [4, 0]
-    assert obj["dehn_sommerville"] is True
-
-
-def test_q_report_table(capsys):
-    code, out, _ = run_cli(capsys, "q-report", "--k", "1", "--d", "6", "--n", "9")
-    assert code == 0
-    assert "(32, 448, 1088, 0)" in out
-    assert "agree:           True" in out
-
-
-def test_q_report_json(capsys):
-    code, out, _ = run_cli(
-        capsys, "q-report", "--k", "1", "--d", "6", "--n", "9", "--format", "json"
-    )
-    obj = json.loads(out)
-    assert obj["gc_route_a"] == obj["gc_route_b"] == [32, 448, 1088, 0]
-    assert obj["gsc_routes_agree"] and obj["gc_routes_agree"]
-
-
-def test_ray_csv(capsys, tmp_path):
-    out = tmp_path / "ray.csv"
-    code, _, err = run_cli(
-        capsys, "ray", "--k", "1", "--d", "6", "--n-from", "6", "--n-to", "9",
-        "--out", str(out),
-    )
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("k,d,n,gc_1")
-    assert len(lines) == 5
-    assert "zero normalizer" in err  # the n=6 row
-
-
 def test_stackedness_report(capsys):
     code, out, _ = run_cli(capsys, "stackedness", "--k", "1", "--d", "6", "--n", "9", "--a", "2")
     assert code == 0
@@ -172,6 +119,37 @@ def test_construct_output_is_golden(capsys, name):
     """stdout, byte for byte: vertex order, facet order and layout of the JSON."""
     code, out, err = run_cli(capsys, "construct", *CONSTRUCT_GOLDEN[name])
     assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN.parent / name).read_bytes()
+
+
+CYCLIC_IN = str(GOLDEN.parent / "construct_cyclic_K4_m10.json")
+CUBE_IN = str(GOLDEN.parent / "input_cube_d3_f.json")
+Q_ARGS = ["q-report", "--k", "1", "--d", "6", "--n", "9"]
+# golden file -> (arguments, stderr): each format of fvec, gvec, q-report and ray
+OUTPUT_GOLDEN = {
+    "q_report_k1_d6_n9.txt": (Q_ARGS, ""),
+    "q_report_k1_d6_n9.csv": (Q_ARGS + ["--format", "csv"], ""),
+    "q_report_k1_d6_n9.json": (Q_ARGS + ["--format", "json"], ""),
+    "fvec_cyclic_K4_m10.json": (["fvec", "--in", CYCLIC_IN], ""),
+    "fvec_cyclic_K4_m10.csv": (["fvec", "--in", CYCLIC_IN, "--format", "csv"], ""),
+    "fvec_cyclic_K4_m10.txt": (["fvec", "--in", CYCLIC_IN, "--format", "table"], ""),
+    "gvec_cyclic_K4_m10.json": (["gvec", "--in", CYCLIC_IN, "--kind", "simplicial"], ""),
+    "gvec_cyclic_K4_m10.txt": (["gvec", "--in", CYCLIC_IN, "--kind", "simplicial", "--format", "table"], ""),
+    "gvec_cubical_cube_d3.json": (["gvec", "--in", CUBE_IN, "--kind", "cubical-from-f"], ""),
+    "gvec_cubical_cube_d3.txt": (["gvec", "--in", CUBE_IN, "--kind", "cubical-from-f", "--format", "table"], ""),
+    "ray_k1_d6_n6_9.csv": (
+        ["ray", "--k", "1", "--d", "6", "--n-from", "6", "--n-to", "9"],
+        "ray: n=6 has zero normalizer, row emitted unnormalized\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_GOLDEN))
+def test_output_format_is_golden(capsys, name):
+    """stdout byte for byte, the exit code and stderr, for every format no other golden file pins."""
+    argv, want_err = OUTPUT_GOLDEN[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, want_err)
     assert out.encode() == (GOLDEN.parent / name).read_bytes()
 
 

@@ -3,13 +3,7 @@ from itertools import combinations
 import pytest
 
 from polygv import constructions as cons
-from polygv.complexes import (
-    APEX,
-    LinkConditionError,
-    SimplicialComplex,
-    cvert,
-    tvert,
-)
+from polygv.complexes import SimplicialComplex, cvert, tvert
 from polygv.constructions import (
     CyclicSpec,
     DiamondSpec,
@@ -26,9 +20,8 @@ from polygv.constructions import (
     lex_subdivision,
     lex_subdivisions,
     mw_boundary,
-    mw_g_closed,
 )
-from polygv.vectors import check_simplicial_DS, f_to_h, h_to_g, mchoose
+from polygv.vectors import f_to_h, h_to_g, mchoose
 
 
 def cface(*idx):
@@ -56,22 +49,6 @@ def inner_odd_count(positions, m):
 
 
 # -- cyclic polytopes ---------------------------------------------------------
-
-
-def test_pentagon_facets():
-    pent = cyclic_facets(2, 5)
-    assert pent.facets == {cface(1, 2), cface(2, 3), cface(3, 4), cface(4, 5), cface(1, 5)}
-
-
-def test_c47_counts():
-    c = cyclic_facets(4, 7)
-    assert len(c.facets) == 14
-    assert c.f_vector().counts == (1, 7, 21, 28, 14)
-    assert c.euler_characteristic() == 1 + (-1) ** 3
-
-
-def test_c46_contains_1245():
-    assert cface(1, 2, 4, 5) in cyclic_facets(4, 6).facets
 
 
 def test_gale_generator_matches_subset_filter():
@@ -147,56 +124,7 @@ def test_cyclic_is_face_rejects_positions_outside_range():
         assert str(got.value) == want
 
 
-def test_gale_criterion_matches_downward_closure():
-    for K in range(1, 6):
-        for m in range(K + 1, 11):
-            cyclic = cyclic_facets(K, m)
-            for size in range(K + 1):
-                for S in combinations(range(1, m + 1), size):
-                    assert cyclic.is_face(cface(*S)) == cyclic_is_face(S, K, m), (K, m, S)
-
-
 # -- MW polytopes ---------------------------------------------------------------
-
-
-def test_mw_247():
-    mw = mw_boundary(MWSpec(2, 4, 7))
-    assert len(mw.vertices) == 7
-    assert len(mw.facets) == 11
-    assert mw.f_vector().counts == (1, 7, 18, 22, 11)
-    h = f_to_h(mw.f_vector(), 4)
-    assert h.entries == (1, 3, 3, 3, 1)
-    assert check_simplicial_DS(h)
-    assert h_to_g(h).entries == (1, 2, 0)
-    assert mw_g_closed(MWSpec(2, 4, 7)).entries == (1, 2, 0)
-
-
-def test_mw_348_g():
-    g = h_to_g(f_to_h(mw_boundary(MWSpec(3, 4, 8)).f_vector(), 4))
-    assert g.entries == (1, 3, 0)
-    assert mw_g_closed(MWSpec(3, 4, 8)).entries == (1, 3, 0)
-
-
-def test_mw_closed_form_small_grid():
-    for K in range(2, 5):
-        for D in range(K, 7):
-            for N in range(D + 1, 10):
-                spec = MWSpec(K, D, N)
-                b = mw_boundary(spec)
-                assert b.is_pure() and b.dim == D - 1
-                h = f_to_h(b.f_vector(), D)
-                assert check_simplicial_DS(h), spec
-                assert h_to_g(h) == mw_g_closed(spec), spec
-
-
-def test_mw_vertex_link_reduction_k1_and_k2():
-    cases = [(1, 4, 8), (1, 3, 7), (2, 5, 9), (2, 4, 8), (2, 6, 10)]
-    for k, D, N in cases:
-        big = mw_boundary(MWSpec(2 * k, D, N))
-        link = big.link([cvert(1)])
-        m = N - D + 2 * k
-        shifted = link.relabel({cvert(i): cvert(i - 1) for i in range(2, m + 1)})
-        assert shifted == mw_boundary(MWSpec(2 * k - 1, D - 1, N - 1)), (k, D, N)
 
 
 def test_mw_degenerate_k_equals_d_is_cyclic():
@@ -208,19 +136,6 @@ def test_mw_degenerate_k_equals_d_is_cyclic():
 
 
 # -- lexicographic subdivisions ----------------------------------------------
-
-
-def test_lex_pentagon_examples():
-    assert lex_subdivision(CyclicSpec(2, 5), 1).facets == {
-        cface(1, 2, 3),
-        cface(1, 3, 4),
-        cface(1, 4, 5),
-    }
-    assert lex_subdivision(CyclicSpec(2, 5), 2).facets == {
-        cface(1, 2, 5),
-        cface(2, 3, 4),
-        cface(2, 4, 5),
-    }
 
 
 def test_lex_range_and_validation():
@@ -255,7 +170,8 @@ def test_lex_is_subdivision_of_base():
 
 
 def test_lex_commute_small_grid():
-    for K, D, N in [(2, 4, 7), (2, 4, 8), (2, 5, 9), (4, 5, 9), (4, 6, 9), (3, 4, 8)]:
+    # the last three have odd K, off the diamond grid that verify walks
+    for K, D, N in [(2, 4, 7), (2, 4, 8), (2, 5, 9), (4, 5, 9), (4, 6, 9), (3, 4, 8), (5, 6, 10), (3, 3, 8)]:
         spec = MWSpec(K, D, N)
         for a in range(1, lex_range(spec) + 1):
             cyclic_lex = lex_subdivision(CyclicSpec(spec.K, spec.c_count), a)
@@ -368,61 +284,11 @@ def test_lex_subdivision_builds_one_complex(monkeypatch):
 # -- diamonds --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("a,want", [(1, (1, 3, 3)), (2, (1, 3, 2)), (4, (1, 3, 0))])
-def test_diamond_g_at_169(a, want):
-    dia = diamond_boundary(DiamondSpec(1, 6, 9, a))
-    assert h_to_g(f_to_h(dia.f_vector(), 5)).entries == want
-    assert diamond_g_closed(1, 6, 9, a).entries == want
-
-
 def test_diamond_is_sphere():
     dia = diamond_boundary(DiamondSpec(1, 6, 9, 2))
     assert dia.is_pure() and dia.dim == 4
     assert len(dia.vertices) == 9
     assert dia.euler_characteristic() == 1 + (-1) ** 4
-
-
-def test_diamond_f_relation():
-    for a in range(1, 5):
-        spec = DiamondSpec(1, 6, 9, a)
-        dia = diamond_boundary(spec)
-        ball = lex_subdivision(spec.base, a)
-        rim = mw_boundary(spec.base)
-        fd, fb, fr = dia.f_vector().counts, ball.f_vector().counts, rim.f_vector().counts
-        for j in range(len(fd)):
-            rhs = (fb[j] if j < len(fb) else 0) + (fr[j - 1] if 1 <= j <= len(fr) else 0)
-            assert fd[j] == rhs
-
-
-def test_diamond_contraction_is_previous_diamond():
-    spec = DiamondSpec(1, 6, 9, 2)  # diamond over the (2,4,8) base
-    dia = diamond_boundary(spec)
-    contracted = dia.contract_edge(cvert(1), APEX)
-    m = spec.n - spec.d + 2 * spec.k + 1
-    relabeled = contracted.relabel(
-        {cvert(1): APEX, **{cvert(i): cvert(i - 1) for i in range(2, m + 1)}}
-    )
-    assert relabeled == diamond_boundary(DiamondSpec(1, 6, 8, 1))
-
-
-def test_diamond_contraction_h_relation():
-    for a in (2, 3, 4):
-        spec = DiamondSpec(1, 6, 9, a)
-        dia = diamond_boundary(spec)
-        contracted = dia.contract_edge(cvert(1), APEX)
-        h_dia = f_to_h(dia.f_vector(), 5).entries
-        h_con = f_to_h(contracted.f_vector(), 5).entries
-        lk = mw_boundary(spec.base).link([cvert(1)])
-        h_lk = f_to_h(lk.f_vector(), 3).entries
-        for j in range(len(h_dia)):
-            rhs = h_con[j] + (h_lk[j - 1] if 1 <= j <= len(h_lk) else 0)
-            assert h_dia[j] == rhs, (a, j)
-
-
-def test_diamond_a1_contraction_refused():
-    dia = diamond_boundary(DiamondSpec(1, 6, 9, 1))
-    with pytest.raises(LinkConditionError):
-        dia.contract_edge(cvert(1), APEX)
 
 
 def test_diamond_g_closed_validates():

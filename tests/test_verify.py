@@ -3,6 +3,7 @@ at one spec must fail exactly the check that reads it, name that spec, and
 keep every failure."""
 
 import ast
+import errno
 import os
 import re
 from pathlib import Path
@@ -318,6 +319,29 @@ def test_without_fork_verify_runs_in_process(monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
     assert cli.main(["verify", "--suite", "all"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_a_failed_fork_runs_the_plain_checks_in_process(monkeypatch, capsys):
+    """A fork refused with EAGAIN closes both ends of its pipe; the run is golden and exits 0."""
+    pipes = []
+    pipe = os.pipe
+
+    def recorded():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def refuse():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", recorded)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _no_child_left()
 
 
 def test_a_payload_larger_than_the_pipe_comes_back_whole(monkeypatch):

@@ -20,6 +20,7 @@ from polygv.constructions import (
     lex_subdivision,
     lex_subdivisions,
     mw_boundary,
+    mw_g_closed,
 )
 from polygv.vectors import f_to_h, h_to_g, mchoose
 
@@ -49,6 +50,22 @@ def inner_odd_count(positions, m):
 
 
 # -- cyclic polytopes ---------------------------------------------------------
+
+
+def test_pentagon_facets():
+    pent = cyclic_facets(2, 5)
+    assert pent.facets == {cface(1, 2), cface(2, 3), cface(3, 4), cface(4, 5), cface(1, 5)}
+
+
+def test_c47_counts():
+    c = cyclic_facets(4, 7)
+    assert len(c.facets) == 14
+    assert c.f_vector().counts == (1, 7, 21, 28, 14)
+    assert c.euler_characteristic() == 1 + (-1) ** 3
+
+
+def test_c46_contains_1245():
+    assert cface(1, 2, 4, 5) in cyclic_facets(4, 6).facets
 
 
 def test_gale_generator_matches_subset_filter():
@@ -127,6 +144,12 @@ def test_cyclic_is_face_rejects_positions_outside_range():
 # -- MW polytopes ---------------------------------------------------------------
 
 
+def test_mw_348_g():
+    g = h_to_g(f_to_h(mw_boundary(MWSpec(3, 4, 8)).f_vector(), 4))
+    assert g.entries == (1, 3, 0)
+    assert mw_g_closed(MWSpec(3, 4, 8)).entries == (1, 3, 0)
+
+
 def test_mw_degenerate_k_equals_d_is_cyclic():
     # T shrinks to a point standing in for the last cyclic vertex
     mw = mw_boundary(MWSpec(3, 3, 8))
@@ -136,6 +159,19 @@ def test_mw_degenerate_k_equals_d_is_cyclic():
 
 
 # -- lexicographic subdivisions ----------------------------------------------
+
+
+def test_lex_pentagon_examples():
+    assert lex_subdivision(CyclicSpec(2, 5), 1).facets == {
+        cface(1, 2, 3),
+        cface(1, 3, 4),
+        cface(1, 4, 5),
+    }
+    assert lex_subdivision(CyclicSpec(2, 5), 2).facets == {
+        cface(1, 2, 5),
+        cface(2, 3, 4),
+        cface(2, 4, 5),
+    }
 
 
 def test_lex_range_and_validation():
@@ -282,6 +318,13 @@ def test_lex_subdivision_builds_one_complex(monkeypatch):
 
 
 # -- diamonds --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a,want", [(1, (1, 3, 3)), (2, (1, 3, 2)), (4, (1, 3, 0))])
+def test_diamond_g_at_169(a, want):
+    dia = diamond_boundary(DiamondSpec(1, 6, 9, a))
+    assert h_to_g(f_to_h(dia.f_vector(), 5)).entries == want
+    assert diamond_g_closed(1, 6, 9, a).entries == want
 
 
 def test_diamond_is_sphere():

@@ -9,6 +9,7 @@ from polygv.qvectors import (
     blind_blind_gc,
     diamond_index_of_sign_vector,
     full_hsc_q,
+    gc_q,
     gc_q_closed,
     gsc_q,
     gsc_q_closed,
@@ -29,6 +30,14 @@ def test_qspec_validation():
         QSpec(1, 3, 9)
     with pytest.raises(ValueError):
         QSpec(1, 6, 5)
+
+
+def test_histogram_969():
+    assert vertex_figure_histogram(9, 6) == {1: 256, 2: 128, 3: 64, 4: 64}
+
+
+def test_histogram_degenerate():
+    assert vertex_figure_histogram(6, 6) == {1: 64}
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 13) for d in range(1, n + 1)])
@@ -54,6 +63,30 @@ def test_sign_vector_index():
         diamond_index_of_sign_vector("+-", 9, 6)
 
 
+@pytest.mark.parametrize(
+    "spec,want",
+    [
+        (QSpec(1, 6, 9), (512, 1536, 1088)),
+        (QSpec(1, 6, 6), (64, 0, 0)),
+        (QSpec(2, 6, 9), (512, 1536, 3072)),
+    ],
+)
+def test_gsc_named_values(spec, want):
+    assert gsc_q(spec).entries == want
+
+
+@pytest.mark.parametrize(
+    "spec,want",
+    [
+        (QSpec(1, 6, 9), (32, 448, 1088, 0)),
+        (QSpec(1, 6, 6), (32, 0, 0, 0)),
+        (QSpec(1, 8, 10), (128, 768, 1280, 0, 0)),
+    ],
+)
+def test_gc_named_values(spec, want):
+    assert gc_q(spec).entries == want
+
+
 def test_route_c_stretch():
     spec = QSpec(3, 12, 16)
     assert gsc_q_from_complexes(spec) == gsc_q_closed(spec)
@@ -73,6 +106,13 @@ def test_full_hsc_pipeline():
         hc = hsc_to_hc(hsc, spec.d)
         assert check_cubical_DS(hc)
         assert hc_to_gc(hc) == gc_q_closed(spec)
+
+
+@pytest.mark.parametrize("k,m,left", [(1, 0, 0), (1, 3, 17)])
+def test_binomial_identity_named(k, m, left):
+    r = binomial_identity_check(k, m)
+    assert r.equal
+    assert r.left == left
 
 
 @given(stn.integers(1, 8), stn.integers(0, 40))
@@ -121,6 +161,14 @@ def test_ray_csv_schema():
     row = lines[2].split(",")
     assert row[:6] == ["1", "6", "9", "448", "1088", "0"]
     assert row[-1] == "2"
+
+
+@pytest.mark.parametrize(
+    "d,k,want_tail",
+    [(6, 2, (48, 16, 0)), (4, 1, (8, 0))],
+)
+def test_blind_blind_examples(d, k, want_tail):
+    assert blind_blind_gc(d, k).entries[1:] == want_tail
 
 
 def test_blind_blind_validation():

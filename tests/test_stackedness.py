@@ -178,9 +178,21 @@ def test_witness_169():
     assert set(obj) == {"k", "d", "n", "sigma", "a", "b", "face", "face_type_in_a", "face_type_in_b"}
 
 
+def test_witness_2_8_12():
+    w = incompatibility_witness(2, 8, 12)
+    assert w.a < w.b
+    assert w.face_type_in_a == FACET_II
+    assert w.face_type_in_b == UNCLASSIFIED
+
+
 def test_witness_degenerate():
     with pytest.raises(ValueError):
         incompatibility_witness(1, 6, 6)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3)])
+def test_cube_graph_face_check(n, m):
+    assert cube_graph_face_check(n, m) is True
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, n + 1)])

@@ -87,46 +87,34 @@ def test_stackedness_report(capsys):
     assert len(report["oracle_stacked_facets"]) == 6
 
 
-# golden file -> stackedness arguments: one whole stream and one --a call
-STACKEDNESS_GOLDEN = {
-    "stackedness_k2_d8_n10.json": ["--k", "2", "--d", "8", "--n", "10"],
-    "stackedness_k1_d6_n9_a3.json": ["--k", "1", "--d", "6", "--n", "9", "--a", "3"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(STACKEDNESS_GOLDEN))
-def test_stackedness_output_is_golden(capsys, name):
-    """stdout, byte for byte: the order of every face list and the witness fields."""
-    code, out, err = run_cli(capsys, "stackedness", *STACKEDNESS_GOLDEN[name])
-    assert (code, err) == (0, "")
-    assert out.encode() == (GOLDEN.parent / name).read_bytes()
-
-
-# golden file -> construct arguments: each family, both lex bases, K = 1
-CONSTRUCT_GOLDEN = {
-    "construct_cyclic_K4_m10.json": ["--family", "cyclic", "--K", "4", "--m", "10"],
-    "construct_mw_K2_D6_N11.json": ["--family", "mw", "--K", "2", "--D", "6", "--N", "11"],
-    "construct_mw_K1_D3_N6.json": ["--family", "mw", "--K", "1", "--D", "3", "--N", "6"],
-    "construct_lex_cyclic_K3_m9_a3.json": ["--family", "lex", "--base", "cyclic", "--K", "3", "--m", "9", "--a", "3"],
-    "construct_lex_mw_K4_D8_N13_a4.json": ["--family", "lex", "--base", "mw", "--K", "4", "--D", "8", "--N", "13",
-                                           "--a", "4"],
-    "construct_diamond_k2_d10_n14_a3.json": ["--family", "diamond", "--k", "2", "--d", "10", "--n", "14", "--a", "3"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(CONSTRUCT_GOLDEN))
-def test_construct_output_is_golden(capsys, name):
-    """stdout, byte for byte: vertex order, facet order and layout of the JSON."""
-    code, out, err = run_cli(capsys, "construct", *CONSTRUCT_GOLDEN[name])
-    assert (code, err) == (0, "")
-    assert out.encode() == (GOLDEN.parent / name).read_bytes()
+def test_stackedness_n_equal_to_d_has_one_diamond_and_no_witness(capsys):
+    code, out, err = run_cli(capsys, "stackedness", "--k", "1", "--d", "6", "--n", "6")
+    assert (code, err) == (0, "stackedness: n == d leaves a single diamond, no witness\n")
+    obj = json.loads(out)
+    assert obj["witness"] is None and len(obj["diamonds"]) == 1
 
 
 CYCLIC_IN = str(GOLDEN.parent / "construct_cyclic_K4_m10.json")
 CUBE_IN = str(GOLDEN.parent / "input_cube_d3_f.json")
 Q_ARGS = ["q-report", "--k", "1", "--d", "6", "--n", "9"]
-# golden file -> (arguments, stderr): each format of fvec, gvec, q-report and ray
+# golden file -> (arguments, stderr): each construct family with both lex bases
+# and K = 1, one whole stackedness stream and one --a call, and each format of
+# fvec, gvec, q-report and ray
 OUTPUT_GOLDEN = {
+    "construct_cyclic_K4_m10.json": (["construct", "--family", "cyclic", "--K", "4", "--m", "10"], ""),
+    "construct_mw_K2_D6_N11.json": (["construct", "--family", "mw", "--K", "2", "--D", "6", "--N", "11"], ""),
+    "construct_mw_K1_D3_N6.json": (["construct", "--family", "mw", "--K", "1", "--D", "3", "--N", "6"], ""),
+    "construct_lex_cyclic_K3_m9_a3.json": (
+        ["construct", "--family", "lex", "--base", "cyclic", "--K", "3", "--m", "9", "--a", "3"], ""
+    ),
+    "construct_lex_mw_K4_D8_N13_a4.json": (
+        ["construct", "--family", "lex", "--base", "mw", "--K", "4", "--D", "8", "--N", "13", "--a", "4"], ""
+    ),
+    "construct_diamond_k2_d10_n14_a3.json": (
+        ["construct", "--family", "diamond", "--k", "2", "--d", "10", "--n", "14", "--a", "3"], ""
+    ),
+    "stackedness_k2_d8_n10.json": (["stackedness", "--k", "2", "--d", "8", "--n", "10"], ""),
+    "stackedness_k1_d6_n9_a3.json": (["stackedness", "--k", "1", "--d", "6", "--n", "9", "--a", "3"], ""),
     "q_report_k1_d6_n9.txt": (Q_ARGS, ""),
     "q_report_k1_d6_n9.csv": (Q_ARGS + ["--format", "csv"], ""),
     "q_report_k1_d6_n9.json": (Q_ARGS + ["--format", "json"], ""),
@@ -146,11 +134,19 @@ OUTPUT_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_GOLDEN))
 def test_output_format_is_golden(capsys, name):
-    """stdout byte for byte, the exit code and stderr, for every format no other golden file pins."""
+    """stdout byte for byte, the exit code and stderr: the order of every face
+    list and vertex, the witness fields and the layout of each format."""
     argv, want_err = OUTPUT_GOLDEN[name]
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, want_err)
     assert out.encode() == (GOLDEN.parent / name).read_bytes()
+
+
+def test_fvec_reads_stdin_for_a_dash(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(CYCLIC_IN).read_text()))
+    code, out, err = run_cli(capsys, "fvec", "--in", "-")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN.parent / "fvec_cyclic_K4_m10.json").read_bytes()
 
 
 @pytest.mark.parametrize("grid_args", [["--grid", "full"]], ids=["full"])
@@ -182,15 +178,14 @@ def test_verify_other_grid_is_exit_2(capsys):
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
-def test_verify_each_suite(capsys, suite):
-    """Each suite prints exactly its own lines of the golden full run, in order."""
-    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1].startswith("verify:")
+def test_verify_each_suite(verify_run, suite):
+    """Each suite prints exactly its own lines of the golden full run, in order, then its summary."""
     golden = [line for line in GOLDEN.read_text().splitlines() if line.startswith(f"PASS  {suite}: ")]
     assert golden
-    assert [line for line in lines if line.startswith(("PASS", "FAIL"))] == golden
+    run = verify_run(suite)
+    assert run.code == 0
+    n = len(golden)
+    assert run.out.splitlines() == golden + [f"verify: suite={suite} grid=full checks={n} passed={n} failed=0"]
 
 
 def test_ray_bad_range_is_exit_2(capsys):
@@ -306,6 +301,26 @@ def test_route_disagreement_is_exit_1_without_traceback(capsys, monkeypatch):
     assert err.startswith("polygv: gc routes disagree")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in out + err
+
+
+def test_q_report_route_disagreement_prints_the_table_and_exits_1(capsys, monkeypatch):
+    import polygv.qvectors as qv
+    from polygv.vectors import CubicalG
+
+    closed = qv.gc_q_closed
+
+    def off_by_one(spec):
+        gc = closed(spec)
+        return CubicalG(gc.d, (gc.entries[0] + 1,) + gc.entries[1:])
+
+    monkeypatch.setattr(qv, "gc_q_closed", off_by_one)
+    code, out, err = run_cli(capsys, *Q_ARGS)
+    assert (code, err) == (1, "q-report: routes disagree\n")
+    # the golden table, but for route B of g^c and its verdict
+    golden = (GOLDEN.parent / "q_report_k1_d6_n9.txt").read_text().splitlines()
+    lines = out.splitlines()
+    assert lines[:-2] == golden[:-2] and lines[-2] != golden[-2]
+    assert lines[-1] == "gc  routes agree:           False"
 
 
 def _ran_modules(code: str) -> str:

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as stn
 
+from polygv import qvectors
 from polygv.qvectors import (
     QSpec,
     binomial_identity_check,
@@ -20,7 +22,7 @@ from polygv.qvectors import (
     vertex_figure_histogram_brute,
 )
 from polygv.constructions import diamonds
-from polygv.vectors import check_cubical_DS, f_to_h, hc_to_gc, hsc_to_gsc, hsc_to_hc
+from polygv.vectors import ShortCubicalG, check_cubical_DS, f_to_h, hc_to_gc, hsc_to_gsc, hsc_to_hc
 
 
 def test_qspec_validation():
@@ -53,6 +55,12 @@ def test_brute_histogram_rejects_what_the_closed_form_rejects(n, d):
     for histogram in (vertex_figure_histogram, vertex_figure_histogram_brute):
         with pytest.raises(ValueError, match="histogram needs n >= d >= 1"):
             histogram(n, d)
+
+
+def test_brute_histogram_stops_past_20_signs():
+    assert sum(vertex_figure_histogram(21, 6).values()) == 2**21
+    with pytest.raises(ValueError, match="brute histogram limited to n <= 20"):
+        vertex_figure_histogram_brute(21, 6)
 
 
 def test_sign_vector_index():
@@ -120,6 +128,12 @@ def test_binomial_identity_property(k, m):
     assert binomial_identity_check(k, m).equal
 
 
+@pytest.mark.parametrize("k,m", [(0, 3), (1, -1)])
+def test_binomial_identity_validation(k, m):
+    with pytest.raises(ValueError, match="identity check needs k >= 1 and m >= 0"):
+        binomial_identity_check(k, m)
+
+
 def test_binomial_identity_past_machine_width():
     r = binomial_identity_check(6, 100)
     assert r.equal
@@ -178,6 +192,12 @@ def test_blind_blind_validation():
         blind_blind_gc(6, 0)
 
 
-def test_gsc_q_internal_guard():
+def test_gsc_q_internal_guard(monkeypatch):
     # the public accessor re-checks the routes; valid specs never trip it
     assert gsc_q(QSpec(3, 10, 14)).entries[0] == 2**14
+    spec = QSpec(1, 6, 9)
+    g = gsc_q_closed(spec)
+    wrong = ShortCubicalG(g.d, (g.entries[0] + 1,) + g.entries[1:])
+    monkeypatch.setattr(qvectors, "gsc_q_closed", lambda _: wrong)
+    with pytest.raises(AssertionError, match=re.escape(f"gsc routes disagree for {spec}: ")):
+        gsc_q(spec)

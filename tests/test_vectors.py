@@ -18,6 +18,7 @@ from polygv.vectors import (
     HVector,
     Record,
     ShortCubicalG,
+    ShortCubicalH,
     check_cubical_DS,
     check_simplicial_DS,
     f_to_h,
@@ -137,6 +138,11 @@ def test_f_to_hsc_rejects_mismatch():
         f_to_hsc(FVector(2, (1, 8, 12, 6)), 4)
 
 
+def test_hsc_to_hc_rejects_mismatch():
+    with pytest.raises(ValueError, match="short cubical h with d=3 does not match d=4"):
+        hsc_to_hc(ShortCubicalH(3, (4, 8, 4)), 4)
+
+
 def test_cubical_chain_cube():
     hsc = f_to_hsc(FVector(2, (1, 8, 12, 6)), 3)
     hc = hsc_to_hc(hsc, 3)
@@ -192,6 +198,8 @@ def test_gsc_gc_consistent_detects_corruption():
     # odd d: 40 = 2*17 + 6 and 12 = 6 + 6 hold, so only g^sc_2 = g^c_2 + g^c_3
     # rejects it, with g^c_3 = 7 - 12 + 40 - 2^5 = 3 read past floor(d/2)
     assert not gsc_gc_consistent(ShortCubicalG(5, (40, 12, 7)), CubicalG(5, (17, 6, 6)))
+    # the same entries under another d: g^c of d = 7 also has four entries
+    assert not gsc_gc_consistent(gsc, CubicalG(7, gc.entries))
 
 
 @given(stn.data())
@@ -232,6 +240,12 @@ def test_vector_length_validation():
         ShortCubicalG(6, (1, 2))
     with pytest.raises(ValueError):
         CubicalG(6, (1, 2, 3))
+    with pytest.raises(ValueError, match="ShortCubicalH with d=3 needs 3 entries"):
+        ShortCubicalH(3, (4, 8))
+    with pytest.raises(ValueError, match="CubicalH with d=3 needs 4 entries"):
+        CubicalH(3, (4, 4, 4))
+    with pytest.raises(ValueError, match="g-vector of length 2 does not match D=4"):
+        h_from_g_palindromic(GVector((1, 2)), 4)
 
 
 # -- the Record contract: what callers rely on from every spec and vector ------

@@ -4,8 +4,10 @@ keep every failure."""
 
 import ast
 import errno
+import marshal
 import os
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,14 @@ from polygv import verify
 from polygv.vectors import CubicalG, GVector, ShortCubicalG
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_full.txt"
+GOLDEN_LINES = GOLDEN.read_text().splitlines()
+# result name -> case count, in output order: every count below that the golden run prints
+CASES = {
+    m.group(1): int(m.group(2))
+    for m in map(re.compile(r"PASS  (.*) \((\d+) cases\)").fullmatch, GOLDEN_LINES[:-1])
+}
+# the (k, d, n) layers of the diamond grid: k <= 3, 2k+2 <= d <= 10, d <= n <= 12
+LAYERS = 79
 
 LEX, RELATIONS, CONTRACTION = (
     "constructions: lexicographic subdivisions (both routes)",
@@ -29,11 +39,32 @@ MISSING, FACETS = (
     "stackedness: predicted vs brute missing faces",
     "stackedness: predicted vs oracle stacked facets",
 )
+WALK_LINES = (LEX, RELATIONS, CONTRACTION, MISSING, FACETS)
 
 
 def _by_name(results, names=(LEX, RELATIONS, CONTRACTION)):
     assert [r.name for r in results] == list(names)
     return {r.name: r for r in results}
+
+
+def _summary(suite, checks, failed=0):
+    return f"verify: suite={suite} grid=full checks={checks} passed={checks - failed} failed={failed}"
+
+
+def _assert_all_fails_with(capsys, failed):
+    """`verify --suite all` exits 1 and prints the golden lines, each name of
+    ``failed`` with its FAIL text instead, and the summary counts them."""
+    assert cli.main(["verify", "--suite", "all"]) == 1
+    want = [
+        f"FAIL  {name} ({failed[name]})" if name in failed else line
+        for name, line in zip(CASES, GOLDEN_LINES)
+    ]
+    assert capsys.readouterr().out.splitlines() == want + [_summary("all", len(CASES), len(failed))]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_wrong_closed_form_fails_only_the_relation_check(monkeypatch):
@@ -48,10 +79,12 @@ def test_wrong_closed_form_fails_only_the_relation_check(monkeypatch):
 
     monkeypatch.setattr(cons, "diamond_g_closed", wrong_at_one)
     results = _by_name(verify.check_diamond_grid())
-    assert results[LEX].passed and results[LEX].detail == "1088 cases"
-    assert results[CONTRACTION].passed and results[CONTRACTION].detail == "465 cases"
+    assert results[LEX].passed and results[LEX].detail == f"{CASES[LEX]} cases"
+    assert results[CONTRACTION].passed and results[CONTRACTION].detail == f"{CASES[CONTRACTION]} cases"
     assert not results[RELATIONS].passed
-    assert results[RELATIONS].detail == f"1 of 1088 cases failed: {bad}: enumerated g differs from closed form"
+    assert results[RELATIONS].detail == (
+        f"1 of {CASES[RELATIONS]} cases failed: {bad}: enumerated g differs from closed form"
+    )
 
 
 def test_wrong_cyclic_route_fails_only_the_lex_check(monkeypatch):
@@ -67,11 +100,11 @@ def test_wrong_cyclic_route_fails_only_the_lex_check(monkeypatch):
 
     monkeypatch.setattr(cons, "lex_mw_from_cyclic", wrong_at_one)
     results = _by_name(verify.check_diamond_grid())
-    assert results[RELATIONS].passed and results[RELATIONS].detail == "1088 cases"
-    assert results[CONTRACTION].passed and results[CONTRACTION].detail == "465 cases"
+    assert results[RELATIONS].passed and results[RELATIONS].detail == f"{CASES[RELATIONS]} cases"
+    assert results[CONTRACTION].passed and results[CONTRACTION].detail == f"{CASES[CONTRACTION]} cases"
     assert not results[LEX].passed
     assert results[LEX].detail == (
-        f"1 of 1088 cases failed: {bad}: cyclic-factor route differs from push/pull route"
+        f"1 of {CASES[LEX]} cases failed: {bad}: cyclic-factor route differs from push/pull route"
     )
 
 
@@ -136,8 +169,8 @@ def test_contraction_past_the_link_condition_fails_every_first_diamond(monkeypat
         for d in range(2 * k + 2, 11)
         for n in range(d, 13)
     ]
-    assert len(want) == 79
-    assert results[CONTRACTION].cases == 465 and results[CONTRACTION].failures == want
+    assert len(want) == LAYERS
+    assert results[CONTRACTION].cases == CASES[CONTRACTION] and results[CONTRACTION].failures == want
 
 
 def test_dropped_oracle_facet_leaves_a_face_uncovered(monkeypatch):
@@ -149,7 +182,7 @@ def test_dropped_oracle_facet_leaves_a_face_uncovered(monkeypatch):
 
     monkeypatch.setattr(st, "oracle_stacked_facets", drop_one)
     results = _by_name(verify.check_stack_grid(), (MISSING, FACETS))
-    assert results[MISSING].passed and results[MISSING].detail == "60 cases"
+    assert results[MISSING].passed and results[MISSING].detail == f"{CASES[MISSING]} cases"
     r = results[FACETS]
     assert not r.passed
     assert "boundary face not covered at (k=1, d=6, n=9, a=1)" in r.detail
@@ -164,28 +197,11 @@ def test_dropped_missing_face_fails_only_the_missing_check(monkeypatch):
 
     monkeypatch.setattr(st, "predicted_missing_faces", drop_one)
     results = _by_name(verify.check_stack_grid(), (MISSING, FACETS))
-    assert results[FACETS].passed and results[FACETS].detail == "90 cases"
+    assert results[FACETS].passed and results[FACETS].detail == f"{CASES[FACETS]} cases"
     assert not results[MISSING].passed
-    assert results[MISSING].detail == "1 of 60 cases failed: missing faces differ at (k=1, d=6, n=9, a=2)"
-
-
-# (k, d, n) layers that one walk of the diamond grid streams, by suite
-WALKED_LAYERS = {"all": 79, "constructions": 79, "stackedness": 79, "transforms": 0, "qvectors": 0}
-
-
-@pytest.mark.parametrize("suite", WALKED_LAYERS)
-def test_one_diamond_walk_per_run(monkeypatch, suite):
-    """Every per-diamond check of a run reads one walk: each layer is streamed once, or never."""
-    calls = []
-    diamonds = cons.diamonds
-
-    def counted(k, d, n):
-        calls.append((k, d, n))
-        return diamonds(k, d, n)
-
-    monkeypatch.setattr(cons, "diamonds", counted)
-    assert all(r.passed for r in verify.run_suite(suite))
-    assert len(calls) == len(set(calls)) == WALKED_LAYERS[suite]
+    assert results[MISSING].detail == (
+        f"1 of {CASES[MISSING]} cases failed: missing faces differ at (k=1, d=6, n=9, a=2)"
+    )
 
 
 def test_verify_streams_the_diamonds_in_one_place():
@@ -212,21 +228,12 @@ def test_a_raising_per_diamond_body_stops_only_its_own_check(monkeypatch, capsys
         return oracle(complex_, d, k)
 
     monkeypatch.setattr(st, "oracle_stacked_facets", raise_at_one)
-    assert cli.main(["verify", "--suite", "all"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    golden = GOLDEN.read_text().splitlines()
-    assert len(lines) == len(golden) == 29
-    assert lines[-1] == "verify: suite=all grid=full checks=28 passed=26 failed=2"
     # the 19 diamonds before (1, 8, 10, a=2) count 2 and 3 cases each; at it,
-    # the missing check runs before the oracle raises
-    failed = {
-        MISSING: f"FAIL  {MISSING} (1 of 41 cases failed: raised ValueError: no oracle)",
-        FACETS: f"FAIL  {FACETS} (1 of 58 cases failed: raised ValueError: no oracle)",
-    }
-    # every other line, the diamond grid's 1088/1088/465 cases included, is golden
-    for line, want in zip(lines[:-1], golden[:-1]):
-        name = re.fullmatch(r"PASS  (.*) \(\d+ cases\)", want).group(1)
-        assert line == failed.get(name, want)
+    # the missing check runs before the oracle raises; every other line is golden
+    _assert_all_fails_with(capsys, {
+        MISSING: "1 of 41 cases failed: raised ValueError: no oracle",
+        FACETS: "1 of 58 cases failed: raised ValueError: no oracle",
+    })
 
 
 def test_a_raising_walk_fails_each_per_diamond_check_once(monkeypatch):
@@ -246,14 +253,6 @@ def test_a_raising_walk_fails_each_per_diamond_check_once(monkeypatch):
     assert failed[MISSING][0] == 61 and failed[FACETS][0] == 91
 
 
-WALK_LINES = (LEX, RELATIONS, CONTRACTION, MISSING, FACETS)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_a_dying_plain_check_process_fails_each_plain_result_once(monkeypatch, capsys):
     """The plain checks' process exits with status 3 at its first check; the walk still passes."""
     parent = os.getpid()
@@ -264,16 +263,19 @@ def test_a_dying_plain_check_process_fails_each_plain_result_once(monkeypatch, c
         os._exit(3)
 
     monkeypatch.setitem(verify.CHECKS, next(iter(verify.CHECKS)), die)
-    assert cli.main(["verify", "--suite", "all"]) == 1
-    _no_child_left()
-    lines = capsys.readouterr().out.splitlines()
-    golden = GOLDEN.read_text().splitlines()
-    assert len(lines) == len(golden) == 29
-    assert lines[-1] == "verify: suite=all grid=full checks=28 passed=5 failed=23"
     died = "1 of 1 cases failed: plain-check process ended with wait status 768 after 0 bytes"
-    for line, want in zip(lines[:-1], golden[:-1]):
-        name = re.fullmatch(r"PASS  (.*) \(\d+ cases\)", want).group(1)
-        assert line == (want if name in WALK_LINES else f"FAIL  {name} ({died})")
+    _assert_all_fails_with(capsys, {name: died for name in CASES if name not in WALK_LINES})
+    _no_child_left()
+
+
+def test_a_cut_short_payload_fails_each_plain_result_once(monkeypatch, capsys):
+    """The plain checks' process exits 0 having sent only the first 64 bytes of its payload."""
+    dumps = marshal.dumps
+    sent_short = types.SimpleNamespace(dumps=lambda obj: dumps(obj)[:64], loads=marshal.loads)
+    monkeypatch.setattr(verify, "marshal", sent_short)
+    cut = "1 of 1 cases failed: plain-check process ended with wait status 0 after 64 bytes"
+    _assert_all_fails_with(capsys, {name: cut for name in CASES if name not in WALK_LINES})
+    _no_child_left()
 
 
 @pytest.mark.parametrize("raised", [ValueError, KeyboardInterrupt])
@@ -297,22 +299,40 @@ def test_no_process_outlives_a_run(monkeypatch, raised):
     _no_child_left()
 
 
-# forks per run: plain checks go to a child only when a walk runs beside them
-FORKS = {"all": 1, "constructions": 1, "stackedness": 1, "transforms": 0, "qvectors": 0}
+# the suites with a per-diamond check: a run of one walks the diamond grid once
+# and forks once, so that its plain checks run in a child beside the walk
+WALKING = ("all", "constructions", "stackedness")
 
 
-@pytest.mark.parametrize("suite", FORKS)
-def test_plain_checks_fork_only_beside_a_walk(monkeypatch, suite):
-    forks = []
-    fork = os.fork
+SUITES = ["all", *verify.SUITES]
 
-    def counted():
-        forks.append(suite)
-        return fork()
 
-    monkeypatch.setattr(os, "fork", counted)
-    assert all(r.passed for r in verify.run_suite(suite))
-    assert len(forks) == FORKS[suite]
+@pytest.mark.parametrize("suite", SUITES)
+def test_one_diamond_walk_per_run(verify_run, suite):
+    """Every per-diamond check of a run reads one walk: each layer is streamed once, or never."""
+    run = verify_run(suite)
+    assert run.code == 0
+    assert len(run.layers) == len(set(run.layers)) == (LAYERS if suite in WALKING else 0)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_plain_checks_fork_only_beside_a_walk(verify_run, suite):
+    run = verify_run(suite)
+    assert run.code == 0
+    assert len(run.forks) == (suite in WALKING)
+
+
+def test_run_suite_all_gives_the_golden_names_in_order(verify_run):
+    """The whole stdout of `verify --suite all` is the golden file, which names every check once."""
+    run = verify_run("all")
+    assert run.code == 0
+    assert run.out == "".join(line + "\n" for line in GOLDEN_LINES)
+    assert GOLDEN_LINES[-1] == _summary("all", len(CASES)) and len(CASES) == len(GOLDEN_LINES) - 1
+
+
+def test_an_unknown_suite_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suite("bogus")
 
 
 def test_without_fork_verify_runs_in_process(monkeypatch, capsys):
@@ -358,19 +378,6 @@ def test_a_payload_larger_than_the_pipe_comes_back_whole(monkeypatch):
     got = {r.name: r for r in verify.run_suite("all")}[want.name]
     assert (got.cases, got.failures) == (want.cases, want.failures)
     _no_child_left()
-
-
-@pytest.fixture(scope="module")
-def all_results():
-    return verify.run_suite("all")
-
-
-def test_run_suite_all_gives_the_golden_names_in_order(all_results):
-    golden = re.findall(r"^PASS  (.*) \(\d+ cases\)$", GOLDEN.read_text(), re.M)
-    names = [r.name for r in all_results]
-    assert len(golden) == 28
-    assert names == golden
-    assert len(set(names)) == len(names)
 
 
 def _bound_names(target):
@@ -435,8 +442,8 @@ def test_check_keeps_every_failure(monkeypatch):
     r = verify.check_q_routes()
     want = [f"{spec}: gsc routes disagree" for spec in bad]
     assert len(want) >= 6
-    assert not r.passed and r.cases == 654 and r.failures == want
-    assert r.detail == f"{len(want)} of 654 cases failed: " + "; ".join(want[:4])
+    assert not r.passed and r.cases == CASES[r.name] and r.failures == want
+    assert r.detail == f"{len(want)} of {CASES[r.name]} cases failed: " + "; ".join(want[:4])
 
 
 def test_clbc_names_every_violation(monkeypatch):
@@ -451,7 +458,7 @@ def test_clbc_names_every_violation(monkeypatch):
 
     monkeypatch.setattr(qv, "gc_q", negative_on_bad)
     r = verify.check_clbc()
-    assert r.cases == 143
+    assert r.cases == CASES[r.name]
     assert r.failures == [f"Q(k={s.k},d={s.d},n={s.n}): g^c_2 = -1" for s in bad]
 
 
@@ -466,23 +473,13 @@ def test_a_raising_check_is_a_fail_line_not_an_abort(monkeypatch, capsys):
 
     monkeypatch.setattr(st, "incompatibility_witness", no_witness)
     monkeypatch.setattr(cx.SimplicialComplex, "contract_edge", refuse)
-    raised = {
-        "constructions: named examples": "LinkConditionError: refused",
-        LEX: "LinkConditionError: refused",
-        RELATIONS: "LinkConditionError: refused",
-        CONTRACTION: "LinkConditionError: refused",
-        "stackedness: named examples": "AssertionError: no witness",
-        "stackedness: incompatibility witness on the grid": "AssertionError: no witness",
-    }
-    assert cli.main(["verify", "--suite", "all"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    golden = GOLDEN.read_text().splitlines()
-    assert len(lines) == len(golden) == 29
-    assert lines[-1] == "verify: suite=all grid=full checks=28 passed=22 failed=6"
-    for line, want in zip(lines[:-1], golden[:-1]):
-        name = re.fullmatch(r"PASS  (.*) \(\d+ cases\)", want).group(1)
-        if name in raised:
-            fail = rf"FAIL  {re.escape(name)} \(1 of \d+ cases failed: raised {raised[name]}\)"
-            assert re.fullmatch(fail, line)
-        else:
-            assert line == want
+    # the tallies at which each check raised, which no golden line states
+    raised = "raised LinkConditionError: refused", "raised AssertionError: no witness"
+    _assert_all_fails_with(capsys, {
+        "constructions: named examples": f"1 of 29 cases failed: {raised[0]}",
+        LEX: f"1 of 13 cases failed: {raised[0]}",
+        RELATIONS: f"1 of 13 cases failed: {raised[0]}",
+        CONTRACTION: f"1 of 3 cases failed: {raised[0]}",
+        "stackedness: named examples": f"1 of 10 cases failed: {raised[1]}",
+        "stackedness: incompatibility witness on the grid": f"1 of 1 cases failed: {raised[1]}",
+    })

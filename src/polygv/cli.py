@@ -90,10 +90,9 @@ def _build_complex(args: argparse.Namespace) -> cx.SimplicialComplex:
             return cons.lex_subdivision(cons.CyclicSpec(args.K, args.m), args.a)
         _require(args, "K", "D", "N")
         return cons.lex_subdivision(cons.MWSpec(args.K, args.D, args.N), args.a)
-    if fam == "diamond":
-        _require(args, "k", "d", "n", "a")
-        return cons.diamond_boundary(cons.DiamondSpec(args.k, args.d, args.n, args.a))
-    raise ValueError(f"unknown family {fam!r}")
+    # argparse's choices leave only "diamond"
+    _require(args, "k", "d", "n", "a")
+    return cons.diamond_boundary(cons.DiamondSpec(args.k, args.d, args.n, args.a))
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -227,44 +226,28 @@ def _ray_row(spec: qv.QSpec) -> tuple[int, ...]:
 def cmd_q_report(args: argparse.Namespace) -> int:
     spec = qv.QSpec(args.k, args.d, args.n)
     _check_printable(spec, _q_report_row)
-    gsc_a = qv.gsc_q_from_diamonds(spec)
-    gsc_b = qv.gsc_q_closed(spec)
-    gc_a = qv.gc_q_via_gsc(spec)
-    gc_b = qv.gc_q_closed(spec)
-    obj = {
-        "k": spec.k,
-        "d": spec.d,
-        "n": spec.n,
-        "gsc_route_a": list(gsc_a.entries),
-        "gsc_route_b": list(gsc_b.entries),
-        "gsc_routes_agree": gsc_a == gsc_b,
-        "gc_route_a": list(gc_a.entries),
-        "gc_route_b": list(gc_b.entries),
-        "gc_routes_agree": gc_a == gc_b,
-    }
-    if args.format == "table":
-        lines = [
-            f"Q(k={spec.k}, d={spec.d}, n={spec.n})",
-            f"gsc route A (diamond sum):  {gsc_a.entries}",
-            f"gsc route B (closed form):  {gsc_b.entries}",
-            f"gsc routes agree:           {gsc_a == gsc_b}",
-            f"gc  route A (from gsc):     {gc_a.entries}",
-            f"gc  route B (closed form):  {gc_b.entries}",
-            f"gc  routes agree:           {gc_a == gc_b}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "csv":
-        header = "k,d,n,vector,route,entries"
-        rows = [
-            f"{spec.k},{spec.d},{spec.n},gsc,A,{' '.join(map(str, gsc_a.entries))}",
-            f"{spec.k},{spec.d},{spec.n},gsc,B,{' '.join(map(str, gsc_b.entries))}",
-            f"{spec.k},{spec.d},{spec.n},gc,A,{' '.join(map(str, gc_a.entries))}",
-            f"{spec.k},{spec.d},{spec.n},gc,B,{' '.join(map(str, gc_b.entries))}",
-        ]
-        _emit("\n".join([header] + rows) + "\n", args.out)
-    else:
-        _emit(_json_dumps(obj), args.out)
-    if not (gsc_a == gsc_b and gc_a == gc_b):
+    # (vector, route, how, entries): route A, then route B, of each vector
+    routes = [
+        ("gsc", "A", "diamond sum", qv.gsc_q_from_diamonds(spec).entries),
+        ("gsc", "B", "closed form", qv.gsc_q_closed(spec).entries),
+        ("gc", "A", "from gsc", qv.gc_q_via_gsc(spec).entries),
+        ("gc", "B", "closed form", qv.gc_q_closed(spec).entries),
+    ]
+    obj: dict = {"k": spec.k, "d": spec.d, "n": spec.n}
+    table = [f"Q(k={spec.k}, d={spec.d}, n={spec.n})"]
+    csv = ["k,d,n,vector,route,entries"]
+    agree = []
+    for vector, route, how, entries in routes:
+        obj[f"{vector}_route_{route.lower()}"] = list(entries)
+        table.append(f"{f'{vector:<3} route {route} ({how}):':<28}{entries}")
+        csv.append(f"{spec.k},{spec.d},{spec.n},{vector},{route},{' '.join(map(str, entries))}")
+        if route == "B":
+            agree.append(obj[f"{vector}_route_a"] == list(entries))
+            obj[f"{vector}_routes_agree"] = agree[-1]
+            table.append(f"{f'{vector:<3} routes agree:':<28}{agree[-1]}")
+    lines = {"table": table, "csv": csv}.get(args.format)
+    _emit("\n".join(lines) + "\n" if lines else _json_dumps(obj), args.out)
+    if not all(agree):
         print("q-report: routes disagree", file=sys.stderr)
         return 1
     return 0

@@ -218,14 +218,6 @@ class SimplicialComplex:
             raise ValueError(f"{sorted(map(label_str, fs))} is not a face")
         return SimplicialComplex(rest)
 
-    def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        """Join: facets are pairwise unions; vertex sets must be disjoint."""
-        mine, theirs = set(self.vertices), set(other.vertices)
-        if mine & theirs:
-            clash = sorted(label_str(v) for v in mine & theirs)
-            raise ValueError(f"join requires disjoint vertex sets, shared: {clash}")
-        return SimplicialComplex(a | b for a in self.facets for b in other.facets)
-
     def contract_edge(self, u: Label, v: Label) -> "SimplicialComplex":
         """Identify v with u along the edge {u, v}, keeping the label u.
 

@@ -4,9 +4,10 @@ Q(k, d, n) has 2^n vertices and is never materialized.  Every quantity is
 routed through the vertex-figure histogram (a dict a -> how many vertices
 see the a-th diamond) and the diamond g-vectors, then into the short and
 long cubical g-vectors.  ``_vertex_sum`` is the one place that weights by
-the histogram: routes A and C of the short cubical g-vector and the full
-short cubical h-vector are each one call of it.  Each quantity is computed
-by at least two independent routes that must agree exactly.
+the histogram: the full short cubical h-vector and route C of the short
+cubical g-vector are each one call of it, and route A is the g range of
+that h-vector.  Each quantity is computed by at least two independent
+routes that must agree exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .vectors import (
     gc_from_gsc,
     h_from_g_palindromic,
     h_to_g,
+    hsc_to_gsc,
     hsc_to_hc,
     mchoose,
 )
@@ -42,7 +44,6 @@ __all__ = [
     "gsc_q_from_diamonds",
     "gsc_q_closed",
     "gsc_q_from_complexes",
-    "gsc_q",
     "gc_q_via_gsc",
     "gc_q_closed",
     "gc_q",
@@ -141,10 +142,12 @@ def _vertex_sum(
 
 
 def gsc_q_from_diamonds(spec: QSpec) -> ShortCubicalG:
-    """Route A: histogram-weighted sum of closed-form diamond g-vectors."""
-    k, d, n = spec.k, spec.d, spec.n
-    rows = ((a, diamond_g_closed(k, d, n, a).entries) for a in range(1, n - d + 2))
-    return ShortCubicalG(d, _vertex_sum(spec, rows, (d - 1) // 2 + 1))
+    """Route A: the g range of ``full_hsc_q``, the diamond sum of closed-form h-vectors.
+
+    Differencing a histogram-weighted sum of palindromic h-vectors gives the
+    same sum of their g-vectors, so this is the diamond g-vector sum.
+    """
+    return hsc_to_gsc(full_hsc_q(spec))
 
 
 def gsc_q_closed(spec: QSpec) -> ShortCubicalG:
@@ -175,15 +178,6 @@ def gsc_q_from_complexes(spec: QSpec) -> ShortCubicalG:
         for dspec, _, _, dia in diamonds(spec.k, d, spec.n)
     )
     return ShortCubicalG(d, _vertex_sum(spec, rows, (d - 1) // 2 + 1))
-
-
-def gsc_q(spec: QSpec) -> ShortCubicalG:
-    """Short cubical g-vector, with the two cheap routes cross-checked."""
-    a = gsc_q_from_diamonds(spec)
-    b = gsc_q_closed(spec)
-    if a != b:
-        raise AssertionError(f"gsc routes disagree for {spec}: {a} vs {b}")
-    return b
 
 
 # -- long cubical g-vector of Q, two routes ----------------------------------

@@ -26,7 +26,6 @@ import marshal
 import os
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 from typing import BinaryIO, Callable, Iterator, Sequence
 
 from . import complexes as cx
@@ -276,7 +275,7 @@ def check_palindromic_roundtrip(r: CheckResult) -> None:
 @check("transforms", "cubical DS on cube boundaries")
 def check_cubical_ds_cubes(r: CheckResult) -> None:
     for d in range(2, Q_D + 1):
-        counts = (1,) + tuple(comb(d, j) * 2 ** (d - j) for j in range(d))
+        counts = (1,) + tuple(st.cube_face_count(d, j) for j in range(d))
         hc = vec.hsc_to_hc(vec.f_to_hsc(vec.FVector(d - 1, counts), d), d)
         gc = vec.hc_to_gc(hc)
         r.expect(vec.check_cubical_DS(hc), f"cubical DS fails for the {d}-cube")
@@ -372,14 +371,6 @@ def check_construction_named_examples(r: CheckResult) -> None:
     tetra = cx.simplex_boundary([cx.plain(i) for i in range(1, 5)])
     lk = tetra.link([cx.plain(1)])
     expect(lk == cx.simplex_boundary([cx.plain(i) for i in range(2, 5)]), "vertex link in a 3-simplex boundary")
-
-    s0a = cx.SimplicialComplex([[cx.plain(1)], [cx.plain(2)]])
-    s0b = cx.SimplicialComplex([[cx.plain(3)], [cx.plain(4)]])
-    square = s0a.join(s0b)
-    expect(len(square.facets) == 4 and square.dim == 1, "join of two 0-spheres")
-    cone = cx.SimplicialComplex([[cx.plain(9)]]).join(pent)
-    expect(len(cone.facets) == 5 and cone.dim == 2, "cone over the pentagon")
-    r.raises(lambda: pent.join(pent), "join with shared vertices accepted")
 
     cyc4 = cx.SimplicialComplex(
         [[cx.plain(1), cx.plain(2)], [cx.plain(2), cx.plain(3)], [cx.plain(3), cx.plain(4)], [cx.plain(4), cx.plain(1)]]
@@ -509,42 +500,6 @@ def check_diamond_grid(diamond: Diamond, lex: CheckResult, rel: CheckResult, con
     _expect_contraction(con, diamond)
 
 
-@check("constructions", "join multiplies f-polynomials")
-def check_join_f_polynomial(r: CheckResult) -> None:
-    pent = cons.cyclic_facets(2, 5)
-    tetra = cx.simplex_boundary([cx.tvert(i) for i in range(1, 5)])
-    edge = cx.SimplicialComplex([[cx.plain(1), cx.plain(2)]])
-    s0 = cx.SimplicialComplex([[cx.plain(3)], [cx.plain(4)]])
-    for a, b in [(pent, tetra), (pent, edge), (tetra, s0), (edge, s0)]:
-        joined = a.join(b)
-        pa, pb = a.f_vector().counts, b.f_vector().counts
-        prod = [0] * (len(pa) + len(pb) - 1)
-        for i, va in enumerate(pa):
-            for j, vb in enumerate(pb):
-                prod[i + j] += va * vb
-        got = list(joined.f_vector().counts)
-        got += [0] * (len(prod) - len(got))
-        r.expect(got == prod, "join f-polynomial product fails")
-
-
-@check("constructions", "removing a facet never adds faces")
-def check_face_monotonicity(r: CheckResult) -> None:
-    complexes = [
-        cons.mw_boundary(cons.MWSpec(2, 4, 7)),
-        cons.cyclic_facets(2, 6),
-        cons.cyclic_facets(3, 6),
-    ]
-    for c in complexes:
-        base_counts = c.f_vector().counts
-        for facet in c.canonical_facets():
-            rest = [f for f in c.facets if f != frozenset(facet)]
-            small_counts = cx.SimplicialComplex(rest).f_vector().counts
-            r.expect(
-                all(lo <= hi for lo, hi in zip(small_counts, base_counts)),
-                "face count grew after removing a facet",
-            )
-
-
 # --------------------------------------------------------------------------
 # qvectors suite
 # --------------------------------------------------------------------------
@@ -558,9 +513,9 @@ def check_q_named_examples(r: CheckResult) -> None:
     expect(hist == {1: 256, 2: 128, 3: 64, 4: 64}, "histogram (9,6)")
     expect(qv.vertex_figure_histogram(6, 6) == {1: 64}, "histogram n=d")
 
-    expect(qv.gsc_q(qv.QSpec(1, 6, 9)).entries == (512, 1536, 1088), "gsc (1,6,9)")
-    expect(qv.gsc_q(qv.QSpec(1, 6, 6)).entries == (64, 0, 0), "gsc (1,6,6)")
-    expect(qv.gsc_q(qv.QSpec(2, 6, 9)).entries == (512, 1536, 3072), "gsc (2,6,9)")
+    expect(qv.gsc_q_closed(qv.QSpec(1, 6, 9)).entries == (512, 1536, 1088), "gsc (1,6,9)")
+    expect(qv.gsc_q_closed(qv.QSpec(1, 6, 6)).entries == (64, 0, 0), "gsc (1,6,6)")
+    expect(qv.gsc_q_closed(qv.QSpec(2, 6, 9)).entries == (512, 1536, 3072), "gsc (2,6,9)")
 
     expect(qv.gc_q(qv.QSpec(1, 6, 9)).entries == (32, 448, 1088, 0), "gc (1,6,9)")
     expect(qv.gc_q(qv.QSpec(1, 6, 6)).entries == (32, 0, 0, 0), "gc (1,6,6)")
@@ -595,7 +550,6 @@ def check_q_routes(r: CheckResult) -> None:
         r.expect(qv.gsc_q_from_diamonds(spec) == gsc, f"{at}: gsc routes disagree")
         r.expect(qv.gc_q_via_gsc(spec) == gc, f"{at}: gc routes disagree")
         r.expect(spec.d < 2 * spec.k + 4 or gc.entries[spec.k + 2] == 0, f"{at}: g^c_(k+2) is nonzero")
-        r.expect(vec.hsc_to_gsc(hsc) == gsc, f"{at}: full h^sc disagrees with gsc")
         r.expect(vec.check_cubical_DS(hc), f"{at}: cubical DS fails")
         r.expect(vec.hc_to_gc(hc) == gc, f"{at}: full h^c disagrees with gc")
 
@@ -624,12 +578,32 @@ def check_histogram(r: CheckResult) -> None:
             r.expect(qv.vertex_figure_histogram_brute(n, d) == hist, f"{at} differs from enumeration")
 
 
-@check("qvectors", "closing binomial identity")
-def check_binomial_identity(r: CheckResult) -> None:
-    """Exhaustive for k <= 6, m <= 30."""
+@check(
+    "qvectors",
+    "closing binomial identity",
+    "g^c_(k+2) = 0 for every n (certificate, k <= 30)",
+)
+def check_binomial_identity(r: CheckResult, cert: CheckResult) -> None:
+    """The identity on the grid k <= 6, m <= 30, then certified for every m at k <= 30.
+
+    With m = n - d, g^c_(k+2)(Q) = 2^d (L(m) - R(m)), where L and R are the
+    two sides of ``binomial_identity_check(k, m)``.  L(m+1) - L(m) =
+    2^m mchoose(m+1, k) and R(m+1) - R(m) = 2^m (2P(m+1) - P(m)), where
+    P(m) = sum_j (-1)^j mchoose(m, k-j) is a polynomial in m of degree at
+    most k.  So L = R for every m once L(0) = R(0) and the degree-k
+    polynomials 2P(m+1) - P(m) and mchoose(m+1, k) agree at m = 0 .. k.
+    """
     for k in range(1, 7):
         for m in range(0, 31):
             r.expect(qv.binomial_identity_check(k, m).equal, f"identity fails at (k={k}, m={m})")
+    for k in range(1, 31):
+        cert.expect(qv.binomial_identity_check(k, 0).equal, f"L(0) != R(0) at k={k}")
+        P = [sum((-1) ** j * vec.mchoose(m, k - j) for j in range(k + 1)) for m in range(k + 2)]
+        for m in range(k + 1):
+            cert.expect(
+                2 * P[m + 1] - P[m] == vec.mchoose(m + 1, k),
+                f"increments of L and R differ at (k={k}, m={m})",
+            )
 
 
 @check("qvectors", "dominant ray coordinate is monotone")
@@ -641,14 +615,31 @@ def check_ray_monotonic(r: CheckResult) -> None:
         r.expect(not values or values[-1] <= 1, f"dominant coordinate exceeds 1 for {at}")
 
 
-@check("qvectors", "elementary cubical family")
-def check_blind_blind(r: CheckResult) -> None:
+@check(
+    "qvectors",
+    "elementary cubical family",
+    "two d-cubes glued along a facet give the k = 1 elementary g^c",
+)
+def check_blind_blind(r: CheckResult, glued: CheckResult) -> None:
+    """The elementary formula on every (d, k), then its k = 1 ray from an f-vector.
+
+    The boundary of two d-cubes glued along a facet holds every proper face of
+    either cube but the shared facet, each shared face once:
+    f_j = 2 f_j(d-cube) - f_j((d-1)-cube) for j <= d-2, and 4d - 2 facets.
+    """
     for d, k in blind_specs():
         gc = qv.blind_blind_gc(d, k).entries
         at = f"elementary ({d},{k})"
         r.expect(gc[k] == 2 ** (d - k), f"{at}: wrong value at index k")
         r.expect(all(gc[i] == 0 for i in range(k + 1, d // 2 + 1)), f"{at}: tail not zero")
         r.expect(gc[0] == 2 ** (d - 1), f"{at}: wrong constant term")
+    for d in range(2, 13):
+        counts = [2 * st.cube_face_count(d, j) - st.cube_face_count(d - 1, j) for j in range(d - 1)]
+        hc = vec.hsc_to_hc(vec.f_to_hsc(vec.FVector(d - 1, (1, *counts, 4 * d - 2)), d), d)
+        gc = vec.hc_to_gc(hc)
+        at = f"two {d}-cubes glued along a facet"
+        glued.expect(vec.check_cubical_DS(hc), f"{at}: cubical DS fails")
+        glued.expect(gc == qv.blind_blind_gc(d, 1), f"{at}: g^c is {gc.entries}")
 
 
 @check("qvectors", "g^c_2 nonnegative across families")

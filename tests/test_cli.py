@@ -274,8 +274,9 @@ def test_print_bound_follows_the_int_str_limit(capsys, monkeypatch):
         ('{"d": 3, "f": [8, 12, 6]}', "simplicial", "simplicial input needs a 'facets' list"),
         ('{"d": 3}', "cubical-from-f", "cubical input needs 'f' (or 'facets')"),
         ('{"f": [8, 12, 6]}', "cubical-from-f", "cubical input needs 'd' (or 'facets')"),
+        ('{"d": 3, "f": [8, 12]}', "cubical-from-f", "cubical f-vector for d=3 needs 3 entries f_0..f_2"),
     ],
-    ids=["simplicial-no-facets", "cubical-no-f", "cubical-no-d"],
+    ids=["simplicial-no-facets", "cubical-no-f", "cubical-no-d", "cubical-short-f"],
 )
 def test_missing_key_is_named(capsys, tmp_path, text, kind, want):
     path = tmp_path / "in.json"

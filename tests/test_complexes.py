@@ -95,45 +95,6 @@ def test_link_builds_no_closure():
     assert dia._faces is None
 
 
-def test_join_zero_spheres_is_square():
-    a = SimplicialComplex([[plain(1)], [plain(2)]])
-    b = SimplicialComplex([[plain(3)], [plain(4)]])
-    sq = a.join(b)
-    assert sq.f_vector().counts == (1, 4, 4)
-    assert sq.euler_characteristic() == 0
-
-
-def test_join_point_is_cone():
-    cone = SimplicialComplex([[plain(9)]]).join(TETRA)
-    assert cone.dim == 3
-    assert len(cone.facets) == len(TETRA.facets)
-    assert all(plain(9) in f for f in cone.facets)
-
-
-def test_join_rejects_shared_vertices():
-    with pytest.raises(ValueError):
-        TETRA.join(SimplicialComplex([[plain(4), plain(9)]]))
-
-
-@settings(max_examples=40)
-@given(
-    stn.sets(stn.tuples(stn.integers(1, 5), stn.integers(1, 5)), min_size=1, max_size=6),
-    stn.sets(stn.tuples(stn.integers(6, 9), stn.integers(6, 9)), min_size=1, max_size=5),
-)
-def test_join_multiplies_f_polynomials(fa, fb):
-    a = SimplicialComplex([{plain(x), plain(y)} for x, y in fa])
-    b = SimplicialComplex([{plain(x), plain(y)} for x, y in fb])
-    joined = a.join(b)
-    pa, pb = a.f_vector().counts, b.f_vector().counts
-    prod = [0] * (len(pa) + len(pb) - 1)
-    for i, va in enumerate(pa):
-        for j, vb in enumerate(pb):
-            prod[i + j] += va * vb
-    got = list(joined.f_vector().counts)
-    got += [0] * (len(prod) - len(got))
-    assert got == prod
-
-
 def test_contract_four_cycle_to_triangle():
     tri = FOUR_CYCLE.contract_edge(plain(1), plain(2))
     assert tri.dim == 1

@@ -1,10 +1,8 @@
-import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as stn
 
-from polygv import qvectors
 from polygv.qvectors import (
     QSpec,
     binomial_identity_check,
@@ -13,7 +11,6 @@ from polygv.qvectors import (
     full_hsc_q,
     gc_q,
     gc_q_closed,
-    gsc_q,
     gsc_q_closed,
     gsc_q_from_complexes,
     ray_convergence_report,
@@ -22,7 +19,7 @@ from polygv.qvectors import (
     vertex_figure_histogram_brute,
 )
 from polygv.constructions import diamonds
-from polygv.vectors import ShortCubicalG, check_cubical_DS, f_to_h, hc_to_gc, hsc_to_gsc, hsc_to_hc
+from polygv.vectors import check_cubical_DS, f_to_h, hc_to_gc, hsc_to_gsc, hsc_to_hc
 
 
 def test_qspec_validation():
@@ -80,7 +77,7 @@ def test_sign_vector_index():
     ],
 )
 def test_gsc_named_values(spec, want):
-    assert gsc_q(spec).entries == want
+    assert gsc_q_closed(spec).entries == want
 
 
 @pytest.mark.parametrize(
@@ -190,14 +187,3 @@ def test_blind_blind_validation():
         blind_blind_gc(6, 4)
     with pytest.raises(ValueError):
         blind_blind_gc(6, 0)
-
-
-def test_gsc_q_internal_guard(monkeypatch):
-    # the public accessor re-checks the routes; valid specs never trip it
-    assert gsc_q(QSpec(3, 10, 14)).entries[0] == 2**14
-    spec = QSpec(1, 6, 9)
-    g = gsc_q_closed(spec)
-    wrong = ShortCubicalG(g.d, (g.entries[0] + 1,) + g.entries[1:])
-    monkeypatch.setattr(qvectors, "gsc_q_closed", lambda _: wrong)
-    with pytest.raises(AssertionError, match=re.escape(f"gsc routes disagree for {spec}: ")):
-        gsc_q(spec)

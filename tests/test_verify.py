@@ -17,6 +17,7 @@ from polygv import complexes as cx
 from polygv import constructions as cons
 from polygv import qvectors as qv
 from polygv import stackedness as st
+from polygv import vectors as vec
 from polygv import verify
 from polygv.vectors import CubicalG, GVector, ShortCubicalG
 
@@ -40,6 +41,14 @@ MISSING, FACETS = (
     "stackedness: predicted vs oracle stacked facets",
 )
 WALK_LINES = (LEX, RELATIONS, CONTRACTION, MISSING, FACETS)
+IDENTITY, CERTIFICATE = (
+    "qvectors: closing binomial identity",
+    "qvectors: g^c_(k+2) = 0 for every n (certificate, k <= 30)",
+)
+ELEMENTARY, GLUED = (
+    "qvectors: elementary cubical family",
+    "qvectors: two d-cubes glued along a facet give the k = 1 elementary g^c",
+)
 
 
 def _by_name(results, names=(LEX, RELATIONS, CONTRACTION)):
@@ -476,10 +485,84 @@ def test_a_raising_check_is_a_fail_line_not_an_abort(monkeypatch, capsys):
     # the tallies at which each check raised, which no golden line states
     raised = "raised LinkConditionError: refused", "raised AssertionError: no witness"
     _assert_all_fails_with(capsys, {
-        "constructions: named examples": f"1 of 29 cases failed: {raised[0]}",
+        "constructions: named examples": f"1 of 26 cases failed: {raised[0]}",
         LEX: f"1 of 13 cases failed: {raised[0]}",
         RELATIONS: f"1 of 13 cases failed: {raised[0]}",
         CONTRACTION: f"1 of 3 cases failed: {raised[0]}",
         "stackedness: named examples": f"1 of 10 cases failed: {raised[1]}",
         "stackedness: incompatibility witness on the grid": f"1 of 1 cases failed: {raised[1]}",
     })
+
+
+def test_the_golden_run_meets_the_benchmark_floor():
+    """The benchmark counts a verify run with fewer result lines than its floor as incorrect."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text())
+    [floor] = [
+        node.value.value
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "VerifyFull"
+        for node in cls.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["MIN_CHECKS"]
+    ]
+    assert len(CASES) >= floor
+
+
+def test_the_certificate_lemmas_hold_on_both_sides():
+    """L(m+1) - L(m) = 2^m mchoose(m+1, k) and R(m+1) - R(m) = 2^m (2P(m+1) - P(m)), k <= 6, m <= 20."""
+    for k in range(1, 7):
+        P = [sum((-1) ** j * vec.mchoose(m, k - j) for j in range(k + 1)) for m in range(22)]
+        sides = [qv.binomial_identity_check(k, m) for m in range(22)]
+        for m in range(21):
+            at = (k, m)
+            assert sides[m + 1].left - sides[m].left == 2**m * vec.mchoose(m + 1, k), at
+            assert sides[m + 1].right - sides[m].right == 2**m * (2 * P[m + 1] - P[m]), at
+
+
+def test_a_wrong_right_side_past_the_grid_fails_only_the_certificate(monkeypatch):
+    """The right side off by one at k = 11 for every m: the sampled grid stops at k = 6."""
+    identity = qv.binomial_identity_check
+
+    def off_at_11(k, m):
+        got = identity(k, m)
+        return qv.BinomialIdentityResult(got.left, got.right + (k == 11))
+
+    monkeypatch.setattr(qv, "binomial_identity_check", off_at_11)
+    results = _by_name(verify.check_binomial_identity(), (IDENTITY, CERTIFICATE))
+    assert results[IDENTITY].passed and results[IDENTITY].detail == f"{CASES[IDENTITY]} cases"
+    assert results[CERTIFICATE].cases == CASES[CERTIFICATE]
+    assert results[CERTIFICATE].failures == ["L(0) != R(0) at k=11"]
+
+
+def test_a_wrong_multichoose_past_35_fails_only_the_certificate(monkeypatch):
+    """mchoose(m, i) one too large once m + i > 35 and i > 0, which the sampled grid never reads here."""
+    mchoose = vec.mchoose
+
+    def off_past_35(m, i):
+        return mchoose(m, i) + (m + i > 35 and i > 0)
+
+    monkeypatch.setattr(vec, "mchoose", off_past_35)
+    results = _by_name(verify.check_binomial_identity(), (IDENTITY, CERTIFICATE))
+    assert results[IDENTITY].passed and results[IDENTITY].detail == f"{CASES[IDENTITY]} cases"
+    cert = results[CERTIFICATE]
+    assert cert.cases == CASES[CERTIFICATE] and not cert.passed
+    # mchoose(18, 18) is the first entry past 35 that the certificate reads
+    assert cert.failures[0] == "increments of L and R differ at (k=18, m=17)"
+    assert all(f.startswith("increments of L and R differ at (k=") for f in cert.failures)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_a_wrong_elementary_ray_fails_the_glued_cubes(monkeypatch, d):
+    """blind_blind_gc(d, 1) off by one at index 1: the glued cubes name d, and the formula's line fails too."""
+    elementary = qv.blind_blind_gc
+
+    def off_at_d(d_, k):
+        g = elementary(d_, k)
+        if (d_, k) == (d, 1):
+            return CubicalG(g.d, (g.entries[0], g.entries[1] + 1) + g.entries[2:])
+        return g
+
+    monkeypatch.setattr(qv, "blind_blind_gc", off_at_d)
+    results = _by_name(verify.check_blind_blind(), (ELEMENTARY, GLUED))
+    assert not results[ELEMENTARY].passed
+    want = elementary(d, 1).entries
+    assert results[GLUED].cases == CASES[GLUED]
+    assert results[GLUED].failures == [f"two {d}-cubes glued along a facet: g^c is {want}"]

@@ -1,10 +1,11 @@
 """Simplicial complexes on labeled vertices.
 
-A complex is stored by its maximal faces (facets); the full face set is the
-downward closure, computed lazily and cached as a face map.  A face is an
-int bitmask over the sorted vertex list (bit i stands for ``vertices[i]``),
-split at bit ``_LOW``: the map takes the high part h to one int whose bit l
-is set exactly when ``h << _LOW | l`` is a face.  Counting faces is then a
+A complex is stored by its maximal faces (facets), each an int bitmask over
+the sorted vertex list (bit i stands for ``vertices[i]``); the builders make
+masks directly, and labels appear only at I/O.  The full face set is the
+downward closure, computed lazily and cached as a face map, split at bit
+``_LOW``: the map takes the high part h to one int whose bit l is set
+exactly when ``h << _LOW | l`` is a face.  Counting faces is then a
 popcount per entry, and testing one is a dict lookup and a shift.  Vertex
 labels form a totally ordered tagged family: the diamond apex, cyclic-factor
 vertices c1, c2, ..., simplex-factor vertices t1, t2, ..., and plain
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache, reduce
 from itertools import combinations
-from typing import Iterable
+from operator import or_
+from typing import Any, Callable, Iterable, Sequence
 
 from .vectors import FVector
 
@@ -83,6 +86,7 @@ _LOW = 12
 _LOW_MASK = (1 << _LOW) - 1
 
 
+@cache
 def _down(low: int) -> int:
     """The down-set of a low mask: bit l is set exactly when l is a submask of ``low``."""
     down = 1
@@ -114,53 +118,75 @@ class SimplicialComplex:
 
     Facets are maximalized on construction (no facet contains another).  An
     empty facet list denotes the complex whose only face is the empty set,
-    which is what a 0-simplex bounds.
+    which is what a 0-simplex bounds.  The facets are held as int masks over
+    ``vertices``, the sorted support; ``facets`` is their label view.
     """
 
-    __slots__ = ("facets", "dim", "_faces", "_vertices", "_bit")
+    __slots__ = ("_vertices", "dim", "_masks", "_faces", "_memos")
 
     def __init__(self, facets: Iterable[Iterable[Label]]):
         sets = {frozenset(f) for f in facets}
-        if not sets:
-            sets = {frozenset()}
-        sizes = {len(f) for f in sets}
+        labels = sorted(set().union(*sets))
+        bit = {v: 1 << i for i, v in enumerate(labels)}
+        self._set(labels, [sum(bit[v] for v in f) for f in sets])
+
+    @classmethod
+    def _of(cls, labels: Sequence[Label], masks: Iterable[int]) -> "SimplicialComplex":
+        """The complex of the maximal ``masks``; bit i stands for ``labels[i]``, which ascend."""
+        return cls.__new__(cls)._set(labels, masks)
+
+    def _set(self, labels: Sequence[Label], masks: Iterable[int]) -> "SimplicialComplex":
+        sets = frozenset(masks) or frozenset((0,))
+        support = reduce(or_, sets)
+        if support >> len(labels):
+            raise ValueError(f"a facet mask has bits past the {len(labels)} labels")
+        missing = (1 << len(labels)) - 1 & ~support  # labels no facet uses, dropped from the top
+        while missing:
+            i = missing.bit_length() - 1
+            labels, missing = labels[:i] + labels[i + 1 :], missing ^ 1 << i
+            sets = frozenset(f >> 1 & -1 << i | f & ~(-1 << i) for f in sets)
+        sizes = set(map(int.bit_count, sets))
         top = max(sizes)
         if len(sizes) > 1:
-            # a set only ever lies strictly inside a larger one, so sets of
-            # the top size are maximal and only the smaller ones are scanned
-            sets = [f for f in sets if len(f) == top or not any(f < g for g in sets)]
-        self.facets: frozenset[frozenset[Label]] = frozenset(sets)
+            # a set only ever lies strictly inside a larger one, so sets of the top size are
+            # maximal; a smaller one mostly has a superset with one more vertex, tried first
+            bits = [1 << i for i in range(len(labels))]
+            sets = frozenset(f for f in sets if f.bit_count() == top or not (
+                any(f | b in sets for b in bits if not f & b) or any(f & g == f != g for g in sets)))
+        self._vertices: tuple[Label, ...] = tuple(labels)
         self.dim: int = top - 1
+        self._masks: frozenset[int] = sets
         self._faces: dict[int, int] | None = None
-        self._vertices: tuple[Label, ...] | None = None
-        self._bit: dict[Label, int] | None = None
+        self._memos: dict = {}
+        return self
+
+    vertices = property(lambda self: self._vertices, doc="The sorted support, read-only.")
+
+    def _memo(self, key: object, compute: Callable[[], Any]) -> Any:
+        """``compute()``, kept on the complex under ``key``: complexes are immutable."""
+        return self._memos[key] if key in self._memos else self._memos.setdefault(key, compute())
 
     @property
-    def vertices(self) -> tuple[Label, ...]:
-        """Support of the facet list, in ascending label order."""
-        if self._vertices is None:
-            seen: set[Label] = set()
-            for f in self.facets:
-                seen.update(f)
-            self._vertices = tuple(sorted(seen))
-        return self._vertices
+    def facets(self) -> frozenset[frozenset[Label]]:
+        """The facets as vertex-label sets."""
+        return self._memo("facets", lambda: frozenset(map(self._labels, self._masks)))
 
-    def _bits(self) -> dict[Label, int]:
-        """Vertex -> its bit, 1 << (position in ``vertices``)."""
-        if self._bit is None:
-            self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        return self._bit
+    def _labels(self, mask: int) -> frozenset[Label]:
+        """The vertex set of a bitmask over ``vertices``."""
+        return frozenset(v for i, v in enumerate(self._vertices) if mask >> i & 1)
+
+    def _masks_over(self, labels: Sequence[Label], names: Sequence[Label] | None = None) -> Iterable[int]:
+        """The facet masks over the ascending ``labels``, vertex i renamed ``names[i]`` if given."""
+        names = self._vertices if names is None else tuple(names)
+        if names == tuple(labels):
+            return self._masks
+        at = [1 << labels.index(v) for v in names]
+        return [reduce(or_, (b for i, b in enumerate(at) if f >> i & 1), 0) for f in self._masks]
 
     def _mask(self, face: Iterable[Label]) -> int | None:
         """Bitmask of a vertex set, or None if a vertex is not in the complex."""
-        bit = self._bits()
-        mask = 0
-        for v in face:
-            b = bit.get(v)
-            if b is None:
-                return None
-            mask |= b
-        return mask
+        bit, face = {v: 1 << i for i, v in enumerate(self._vertices)}, set(face)
+        return sum(bit[v] for v in face) if face <= bit.keys() else None
 
     def _face_map(self) -> dict[int, int]:
         """High part h -> the bitmap of the low parts l with ``h << _LOW | l`` a face.
@@ -170,8 +196,7 @@ class SimplicialComplex:
         """
         if self._faces is None:
             faces: dict[int, int] = {}
-            for f in self.facets:
-                mask = self._mask(f)
+            for mask in self._masks:
                 down, high = _down(mask & _LOW_MASK), mask >> _LOW
                 sub = high
                 while True:
@@ -184,23 +209,25 @@ class SimplicialComplex:
 
     def _has(self, mask: int) -> bool:
         """Whether the vertex set with this bitmask is a face."""
-        return bool(self._face_map().get(mask >> _LOW, 0) >> (mask & _LOW_MASK) & 1)
+        return bool((self._faces or self._face_map()).get(mask >> _LOW, 0) >> (mask & _LOW_MASK) & 1)
 
     def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) == 1
+        return len({f.bit_count() for f in self._masks}) == 1
 
     def is_face(self, face: Iterable[Label]) -> bool:
         mask = self._mask(face)
         return mask is not None and self._has(mask)
 
     def f_vector(self) -> FVector:
-        counts = [0] * (self.dim + 2)
-        for high, row in self._face_map().items():
-            base = high.bit_count()
-            for j in range(min(_LOW, self.dim + 1 - base) + 1):
-                counts[base + j] += (row & _SIZE_ROWS[j]).bit_count()
-        return FVector(self.dim, tuple(counts))
+        def count() -> FVector:
+            counts = [0] * (self.dim + 2)
+            for high, row in self._face_map().items():
+                base = high.bit_count()
+                for j in range(min(_LOW, self.dim + 1 - base) + 1):
+                    counts[base + j] += (row & _SIZE_ROWS[j]).bit_count()
+            return FVector(self.dim, tuple(counts))
+
+        return self._memo(FVector, count)
 
     def euler_characteristic(self) -> int:
         """Reduced-free Euler characteristic sum_i (-1)^i f_i."""
@@ -212,11 +239,12 @@ class SimplicialComplex:
     def link(self, face: Iterable[Label]) -> "SimplicialComplex":
         """Faces G disjoint from `face` with G union `face` in the complex."""
         fs = frozenset(face)
+        mask = self._mask(fs)
         # `face` is a face exactly when some facet contains it
-        rest = [f - fs for f in self.facets if fs <= f]
+        rest = [] if mask is None else [f ^ mask for f in self._masks if f & mask == mask]
         if not rest:
             raise ValueError(f"{sorted(map(label_str, fs))} is not a face")
-        return SimplicialComplex(rest)
+        return self._of(self._vertices, rest)
 
     def contract_edge(self, u: Label, v: Label) -> "SimplicialComplex":
         """Identify v with u along the edge {u, v}, keeping the label u.
@@ -234,9 +262,9 @@ class SimplicialComplex:
         # v are not in G).  Per high part h of G, the entry of h + x shifted
         # down by the low part of x marks the low parts l of G with G + x a
         # face, read only where l avoids u and v: the `free` low parts.
-        bit = self._bits()
-        pair = bit[u] | bit[v]
-        parts = [(x >> _LOW, x & _LOW_MASK) for x in (bit[u], bit[v], pair)]
+        bu, bv = self._mask([u]), self._mask([v])
+        pair = bu | bv
+        parts = [(x >> _LOW, x & _LOW_MASK) for x in (bu, bv, pair)]
         faces = self._face_map()
         free = _down(_LOW_MASK & ~pair)
         for h in faces:
@@ -245,19 +273,13 @@ class SimplicialComplex:
                 raise LinkConditionError(
                     f"link condition fails at edge {{{label_str(u)}, {label_str(v)}}}"
                 )
-        new_facets = []
-        for f in self.facets:
-            if v in f:
-                new_facets.append((f - {v}) | {u})
-            else:
-                new_facets.append(f)
-        return SimplicialComplex(new_facets)
+        return self._of(self._vertices, [f ^ bv | bu if f & bv else f for f in self._masks])
 
     def relabel(self, mapping: dict[Label, Label]) -> "SimplicialComplex":
         """Apply a vertex relabeling; labels not in the mapping are kept."""
-        return SimplicialComplex(
-            frozenset(mapping.get(v, v) for v in f) for f in self.facets
-        )
+        names = [mapping.get(v, v) for v in self._vertices]
+        labels = sorted(set(names))
+        return self._of(labels, self._masks_over(labels, names))
 
     # -- serialization -----------------------------------------------------
 
@@ -267,7 +289,7 @@ class SimplicialComplex:
     def to_json_obj(self) -> dict:
         return {
             "dim": self.dim,
-            "vertices": [label_str(v) for v in self.vertices],
+            "vertices": [label_str(v) for v in self._vertices],
             "facets": [[label_str(v) for v in f] for f in self.canonical_facets()],
         }
 
@@ -292,14 +314,14 @@ class SimplicialComplex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.facets == other.facets
+        return self._masks == other._masks and self._vertices == other._vertices
 
     def __hash__(self) -> int:
-        return hash(self.facets)
+        return hash(self._masks)
 
     def __repr__(self) -> str:
         return (
-            f"SimplicialComplex(dim={self.dim}, vertices={len(self.vertices)}, "
+            f"SimplicialComplex(dim={self.dim}, vertices={len(self._vertices)}, "
             f"facets={len(self.facets)})"
         )
 

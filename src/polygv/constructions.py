@@ -17,9 +17,10 @@ MW polytope with one vertex fewer.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .complexes import APEX, Label, SimplicialComplex, cvert, tvert
 from .vectors import GVector, Record, mchoose
@@ -117,70 +118,70 @@ class DiamondSpec(Record):
 
 
 @cache
-def _gale_facets_positions(K: int, m: int) -> tuple[tuple[int, ...], ...]:
+def _gale_masks(K: int, m: int) -> tuple[int, ...]:
     """K-subsets of {1..m} whose inner blocks are all even (Gale evenness).
 
-    Built block by block instead of filtering all C(m, K) subsets.  A first
-    block at 1 may have any length; every later block is inner and even,
-    except a block ending at m, which closes the set.  Longer blocks are
-    placed before shorter ones at the same start, so the subsets come out
-    in lexicographic order, as from combinations().  Cached: the value is
-    plain ints, and the builders ask for the same few (K, m) again and again.
+    Each is a mask, bit p - 1 for position p.  Built block by block instead
+    of filtering all C(m, K) subsets.  A first block at 1 may have any
+    length; every later block is inner and even, except a block ending at m,
+    which closes the set.  Longer blocks are placed before shorter ones at
+    the same start, so the subsets come out in lexicographic order, as from
+    combinations().  Cached: the builders ask for the same few (K, m) often.
     """
-    out: list[tuple[int, ...]] = []
+    out: list[int] = []
 
-    def place(prefix: tuple[int, ...], start: int, left: int) -> None:
+    def place(prefix: int, start: int, left: int) -> None:
         # `left` more positions, none below `start`; position start - 1 is unused
         if left == 0:
             out.append(prefix)
             return
         for s in range(start, m - left + 1):
             for size in range(left - left % 2, 0, -2):
-                place(prefix + tuple(range(s, s + size)), s + size + 1, left - size)
-        out.append(prefix + tuple(range(m - left + 1, m + 1)))
+                place(prefix | ((1 << size) - 1) << (s - 1), s + size + 1, left - size)
+        out.append(prefix | ((1 << left) - 1) << (m - left))
 
     for first in range(K, -1, -1):
-        place(tuple(range(1, first + 1)), first + 2, K - first)
+        place((1 << first) - 1, first + 2, K - first)
     return tuple(out)
 
 
-def _gale_cells(K: int, m: int, start: int) -> list[frozenset[Label]]:
-    """Facets of C(K, m) minus its first `start` vertices, on c_(start+1)..c_m."""
-    labels = [cvert(i) for i in range(start + 1, m + 1)]
-    return [frozenset(labels[p - 1] for p in S) for S in _gale_facets_positions(K, m - start)]
+@cache
+def _order(spec: CyclicSpec | MWSpec) -> tuple[Label, ...]:
+    """The vertex order the family's masks read: c1, c2, ..., then t1, t2, ... (t1 on x's bit)."""
+    if isinstance(spec, CyclicSpec):
+        return tuple(map(cvert, range(1, spec.m + 1)))
+    return tuple(map(cvert, range(1, spec.c_count))) + spec.t_labels
 
 
-def _glue(
-    c_cells: Iterable[frozenset[Label]], x: Label, t_labels: Sequence[Label]
-) -> list[frozenset[Label]]:
+def _glue(c_cells: Iterable[int], x: int, t_count: int) -> list[int]:
     """The MW gluing rule: cells on the cyclic factor become cells of the MW object.
 
-    A cell through the gluing vertex x takes all of T in place of x; any
-    other cell takes each codimension-one face of T.  x does not survive
-    into the output.
+    A cell through the gluing vertex x, the top bit of the cyclic factor,
+    takes all of T = t1..t_(t_count) in place of x, on bits x, x + 1, ...;
+    any other cell takes each codimension-one face of T.
     """
-    t_all = frozenset(t_labels)
-    t_ridges = [t_all - {t} for t in t_labels]
+    x_bit = 1 << x
+    t_all = ((1 << t_count) - 1) << x
+    t_ridges = [t_all ^ x_bit << j for j in range(t_count)]
     out = []
     for S in c_cells:
-        if x in S:
-            out.append(t_all | (S - {x}))
+        if S & x_bit:
+            out.append(S ^ x_bit | t_all)
         else:
-            out.extend(ridge | S for ridge in t_ridges)
+            out.extend(S | ridge for ridge in t_ridges)
     return out
 
 
-def _suffix_facets(spec: CyclicSpec | MWSpec, start: int) -> list[frozenset[Label]]:
-    """Facets of the polytope on the vertex order with the first `start` dropped."""
-    if isinstance(spec, CyclicSpec):
-        return _gale_cells(spec.K, spec.m, start)
-    x = cvert(spec.c_count)
-    return _glue(_gale_cells(spec.K, spec.c_count, start), x, spec.t_labels)
+def _suffix_facets(spec: CyclicSpec | MWSpec, start: int) -> list[int]:
+    """Facet masks of the polytope on the vertex order with the first `start` dropped."""
+    m = spec.m if isinstance(spec, CyclicSpec) else spec.c_count
+    cells = [f << start for f in _gale_masks(spec.K, m - start)]
+    return cells if isinstance(spec, CyclicSpec) else _glue(cells, m - 1, spec.t_count)
 
 
 def cyclic_facets(K: int, m: int) -> SimplicialComplex:
     """Boundary complex of the cyclic K-polytope with m vertices c1..cm."""
-    return SimplicialComplex(_suffix_facets(CyclicSpec(K, m), 0))
+    return SimplicialComplex._of(_order(CyclicSpec(K, m)), _suffix_facets(CyclicSpec(K, m), 0))
 
 
 def cyclic_is_face(subset: Iterable[int], K: int, m: int) -> bool:
@@ -197,22 +198,22 @@ def cyclic_is_face(subset: Iterable[int], K: int, m: int) -> bool:
     i = len(pos)
     if i > K:
         raise ValueError(f"subset of size {i} exceeds K={K}")
-    inner_odd = 0
-    start = 0
-    for j, p in enumerate(pos):
-        if j + 1 < i and pos[j + 1] == p + 1:
-            continue
-        # p ends the block that began at pos[start]
-        s = pos[start]
-        if s > 1 and p < m and (p - s) % 2 == 0:
-            inner_odd += 1
-        start = j + 1
-    return inner_odd <= K - i
+    # each inner odd block spends one of K - i; a block from 1 keeps s = 0
+    budget, s, q = K - i, 0, 0
+    for p in pos:
+        if p - q > 1:  # q ends the block that began at s
+            if s > 1 and not (q - s) & 1:
+                budget -= 1
+            s = p
+        q = p
+    if s > 1 and q < m and not (q - s) & 1:
+        budget -= 1
+    return budget >= 0
 
 
 def mw_boundary(spec: MWSpec) -> SimplicialComplex:
     """Boundary complex of the MW polytope, a pure (D-1)-sphere on N vertices."""
-    return SimplicialComplex(_suffix_facets(spec, 0))
+    return SimplicialComplex._of(_order(spec), _suffix_facets(spec, 0))
 
 
 def mw_g_closed(spec: MWSpec) -> GVector:
@@ -234,10 +235,8 @@ def lex_range(spec: CyclicSpec | MWSpec) -> int:
     return spec.N - spec.D
 
 
-def _push_chain(
-    spec: CyclicSpec | MWSpec,
-) -> Iterator[tuple[int, Label, list[frozenset[Label]], set[frozenset[Label]]]]:
-    """One push chain: (a, v_a = c_a, pyramids of the pushes so far, current facets).
+def _push_chain(spec: CyclicSpec | MWSpec) -> Iterator[tuple[int, int, list[int], set[int]]]:
+    """One push chain: (a, the bit of v_a = c_a, pyramids of the pushes so far, current facets).
 
     Each push on the current polytope P with first vertex v and sub-polytope
     P' = P minus v contributes the pyramids from v over the facets of P'
@@ -245,28 +244,26 @@ def _push_chain(
     place, so a consumer uses it before advancing the chain.
     """
     amax = lex_range(spec)
-    pushed: list[frozenset[Label]] = []
+    pushed: list[int] = []
     cur = set(_suffix_facets(spec, 0))
     for a in range(1, amax + 1):
-        v = cvert(a)
+        v = 1 << (a - 1)
         yield a, v, pushed, cur
         if a < amax:
             nxt = set(_suffix_facets(spec, a))
-            pushed.extend(F | {v} for F in nxt - cur)
+            pushed.extend(F | v for F in nxt - cur)
             cur = nxt
 
 
-def _pull(
-    v: Label, pushed: list[frozenset[Label]], cur: set[frozenset[Label]]
-) -> SimplicialComplex:
+def _pull(spec: CyclicSpec | MWSpec, v: int, pushed: list[int], cur: set[int]) -> SimplicialComplex:
     """Close the chain with a pull on v: the pyramids from v over the facets avoiding v."""
-    return SimplicialComplex(pushed + [F | {v} for F in cur if v not in F])
+    return SimplicialComplex._of(_order(spec), pushed + [F | v for F in cur if not F & v])
 
 
 def lex_subdivisions(spec: CyclicSpec | MWSpec) -> Iterator[tuple[int, SimplicialComplex]]:
     """Yield (a, Lex_a) for a = 1..lex_range(spec), all from one push chain."""
     for a, v, pushed, cur in _push_chain(spec):
-        yield a, _pull(v, pushed, cur)
+        yield a, _pull(spec, v, pushed, cur)
 
 
 def lex_subdivision(spec: CyclicSpec | MWSpec, a: int) -> SimplicialComplex:
@@ -281,7 +278,7 @@ def lex_subdivision(spec: CyclicSpec | MWSpec, a: int) -> SimplicialComplex:
     if not 1 <= a <= amax:
         raise ValueError(f"lex index a={a} outside 1..{amax}")
     _, v, pushed, cur = next(islice(_push_chain(spec), a - 1, None))
-    return _pull(v, pushed, cur)
+    return _pull(spec, v, pushed, cur)
 
 
 def lex_mw_from_cyclic(spec: MWSpec, cyclic_lex: SimplicialComplex) -> SimplicialComplex:
@@ -290,17 +287,18 @@ def lex_mw_from_cyclic(spec: MWSpec, cyclic_lex: SimplicialComplex) -> Simplicia
     The MW gluing rule that turns the facets of C into the MW boundary turns
     the cells of Lex_a(C) into the cells of Lex_a of the MW polytope.
     """
-    return SimplicialComplex(_glue(cyclic_lex.facets, cvert(spec.c_count), spec.t_labels))
+    cells = cyclic_lex._masks_over(_order(CyclicSpec(spec.K, spec.c_count)))
+    return SimplicialComplex._of(_order(spec), _glue(cells, spec.c_count - 1, spec.t_count))
 
 
 # -- diamonds ---------------------------------------------------------------
 
 
 def _cap(ball: SimplicialComplex, rim: SimplicialComplex) -> SimplicialComplex:
-    """The ball's facets plus the apex cone over its boundary `rim`."""
-    facets = set(ball.facets)
-    facets.update(f | {APEX} for f in rim.facets)
-    return SimplicialComplex(facets)
+    """The ball's facets plus the apex cone over its boundary `rim`; the apex sorts first, on bit 0."""
+    cone = [f << 1 | 1 for f in rim._masks]
+    cells = [f << 1 for f in ball._masks_over(rim.vertices)]
+    return SimplicialComplex._of((APEX, *rim.vertices), cells + cone)
 
 
 def diamond_boundary(spec: DiamondSpec) -> SimplicialComplex:
@@ -347,9 +345,6 @@ def diamond_g_closed(k: int, d: int, n: int, a: int) -> GVector:
 
 def ball_boundary(ball: SimplicialComplex) -> SimplicialComplex:
     """Boundary of a pure simplicial ball: closure of ridges lying in one facet."""
-    ridge_count: dict[frozenset[Label], int] = {}
-    for f in ball.facets:
-        for v in f:
-            r = f - {v}
-            ridge_count[r] = ridge_count.get(r, 0) + 1
-    return SimplicialComplex(r for r, c in ridge_count.items() if c == 1)
+    bits = [1 << i for i in range(len(ball.vertices))]
+    ridges = Counter(f ^ b for f in ball._masks for b in bits if f & b)
+    return SimplicialComplex._of(ball.vertices, [r for r, c in ridges.items() if c == 1])

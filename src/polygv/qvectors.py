@@ -210,6 +210,7 @@ def gc_q(spec: QSpec) -> CubicalG:
     return b
 
 
+@cache
 def full_hsc_q(spec: QSpec) -> ShortCubicalH:
     """Entire short cubical h-vector, using the palindromic diamond h-vectors.
 

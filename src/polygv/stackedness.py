@@ -12,6 +12,7 @@ any global cubical stacked subdivision.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -126,13 +127,14 @@ def predicted_missing_faces(k: int, d: int, n: int, a: int) -> list[ClassifiedFa
     return sorted(out, key=lambda cf: (len(cf.vertices), sorted(cf.vertices)))
 
 
-def _small_nonfaces(complex_: SimplicialComplex, max_size: int) -> list[int]:
+def _small_nonfaces(complex_: SimplicialComplex, max_size: int) -> tuple[int, ...]:
     """Bitmasks of the minimal non-faces with at most ``max_size`` vertices.
 
     A set is a minimal non-face exactly when it is not a face but dropping
     any one of its vertices leaves a face.  Dropping its last vertex leaves a
     face, so the scan grows faces one vertex at a time in vertex order and
     tests each grown set that is not a face by its other one-vertex drops.
+    The scan stays on the complex, for the other oracle to read.
     """
     has = complex_._has
     count = len(complex_.vertices)
@@ -147,12 +149,7 @@ def _small_nonfaces(complex_: SimplicialComplex, max_size: int) -> list[int]:
             elif len(bits) < max_size - 1:
                 yield from grow(grown, bits + (bit,), i + 1)
 
-    return list(grow(0, (), 0))
-
-
-def _labels(complex_: SimplicialComplex, mask: int) -> frozenset[Label]:
-    """The vertex set of a bitmask over ``complex_.vertices``."""
-    return frozenset(v for i, v in enumerate(complex_.vertices) if mask >> i & 1)
+    return complex_._memo((_small_nonfaces, max_size), lambda: tuple(grow(0, (), 0)))
 
 
 def brute_missing_faces(
@@ -161,7 +158,7 @@ def brute_missing_faces(
     """All inclusion-minimal non-faces of size <= max_size, by the scan above."""
     if max_size > len(complex_.vertices):
         raise ValueError(f"max_size {max_size} exceeds vertex count {len(complex_.vertices)}")
-    out = [_labels(complex_, m) for m in _small_nonfaces(complex_, max_size)]
+    out = [complex_._labels(m) for m in _small_nonfaces(complex_, max_size)]
     return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
@@ -209,7 +206,7 @@ def oracle_stacked_facets(
                 grow(grown, size + 1, i + 1)
 
     grow(0, 0, 0)
-    return sorted((_labels(complex_, b) for b in found), key=sorted)
+    return sorted(map(complex_._labels, found), key=sorted)
 
 
 def classify_face(face: Iterable[Label], k: int, d: int, n: int, a: int) -> str:
@@ -266,20 +263,22 @@ def incompatibility_witness(k: int, d: int, n: int) -> IncompatibilityWitness:
 # -- the cube-graph rigidity fact ---------------------------------------------
 
 
-def cube_subgraph_images(n: int, m: int) -> set[frozenset[int]]:
+@cache
+def cube_subgraph_images(n: int, m: int) -> frozenset[frozenset[int]]:
     """Vertex sets of all subgraphs of the n-cube graph isomorphic to the m-cube graph.
 
     Backtracking over edge-preserving injections: the m-cube vertices are
     placed in the order 0..2^m-1, each vertex after 0 on a neighbour of the
-    image of its lowest-numbered neighbour, and a candidate is kept only if
-    it is unused and adjacent to the images of all earlier neighbours.
+    image of its lowest-numbered neighbour, and a candidate w is kept only if
+    it is unused (bit w of ``used`` clear), adjacent to the images of all earlier
+    neighbours and, the m-cube being vertex-transitive, above the image of 0.
     """
     size = 1 << m
     earlier = [sorted(v ^ (1 << i) for i in range(m) if v >> i & 1) for v in range(size)]
     image = [0] * size
     images: set[frozenset[int]] = set()
 
-    def place(v: int) -> None:
+    def place(v: int, used: int) -> None:
         if v == size:
             images.add(frozenset(image))
             return
@@ -287,14 +286,14 @@ def cube_subgraph_images(n: int, m: int) -> set[frozenset[int]]:
             candidates = range(1 << n)
         else:
             anchor = image[earlier[v][0]]
-            candidates = (anchor ^ (1 << i) for i in range(n))
+            candidates = (anchor ^ (1 << i) for i in range(n) if anchor ^ (1 << i) > image[0])
         for w in candidates:
-            if w not in image[:v] and all((w ^ image[u]).bit_count() == 1 for u in earlier[v]):
+            if not used >> w & 1 and all((w ^ image[u]).bit_count() == 1 for u in earlier[v]):
                 image[v] = w
-                place(v + 1)
+                place(v + 1, used | 1 << w)
 
-    place(0)
-    return images
+    place(0, 0)
+    return frozenset(images)
 
 
 def cube_graph_face_check(n: int, m: int) -> bool:

@@ -384,13 +384,15 @@ def check_construction_named_examples(r: CheckResult) -> None:
 
 @check("constructions", "Gale face criterion vs downward closure")
 def check_gale_crosscheck(r: CheckResult) -> None:
-    """Every subset of size <= K of C(K, m), K <= 6, m <= 12."""
+    """Every subset of size <= K of C(K, m), K <= 6, m <= 12, read as a mask of the complex."""
     for K in range(1, 7):
         for m in range(K + 1, 13):
             cyclic = cons.cyclic_facets(K, m)
+            # a position outside the support (K = 1) gets a bit past every vertex: no face holds it
+            bits = [cyclic._mask([cx.cvert(i)]) or 1 << len(cyclic.vertices) for i in range(1, m + 1)]
             for size in range(0, K + 1):
-                for S in combinations(range(1, m + 1), size):
-                    agree = cyclic.is_face(cx.cvert(i) for i in S) == cons.cyclic_is_face(S, K, m)
+                for S, B in zip(combinations(range(1, m + 1), size), combinations(bits, size)):
+                    agree = cyclic._has(sum(B)) == cons.cyclic_is_face(S, K, m)
                     # 13599 cases: format the message only for a mismatch
                     r.expect(agree, "" if agree else f"criterion mismatch K={K} m={m} S={S}")
 
@@ -753,8 +755,9 @@ def check_stack_grid(diamond: Diamond, miss: CheckResult, fac: CheckResult) -> N
         f"facet contains a missing face at {at}",
     )
     # a boundary face lies in an oracle facet when its facet does
+    covers = [dia._mask(o) for o in oracle]
     fac.expect(
-        all(any(facet <= o for o in oracle) for facet in dia.facets),
+        all(any(f & o == f for o in covers) for f in dia._masks),
         f"boundary face not covered at {at}",
     )
 

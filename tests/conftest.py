@@ -7,6 +7,8 @@ import pytest
 
 from polygv import cli
 from polygv import constructions as cons
+from polygv import qvectors as qv
+from polygv import stackedness as st
 
 
 def _verify_once(suite):
@@ -46,3 +48,14 @@ def verify_run():
         return runs[suite]
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    """Empty the process-wide result caches around every test, so that a fault a
+    test patches in reaches the checks and not a value cached by an earlier test."""
+    qv.full_hsc_q.cache_clear()
+    st.cube_subgraph_images.cache_clear()
+    yield
+    qv.full_hsc_q.cache_clear()
+    st.cube_subgraph_images.cache_clear()

@@ -1,14 +1,16 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as stn
 
 from polygv import constructions as cons
-from polygv.complexes import SimplicialComplex, cvert, tvert
+from polygv.complexes import APEX, LinkConditionError, SimplicialComplex, cvert, tvert
 from polygv.constructions import (
     CyclicSpec,
     DiamondSpec,
     MWSpec,
-    _gale_facets_positions,
+    _gale_masks,
     ball_boundary,
     cyclic_facets,
     cyclic_is_face,
@@ -72,11 +74,11 @@ def test_gale_generator_matches_subset_filter():
     for m in range(2, 15):
         for K in range(1, m):
             want = [
-                S
+                sum(1 << (p - 1) for p in S)
                 for S in combinations(range(1, m + 1), K)
                 if inner_odd_count(S, m) == 0
             ]
-            assert list(_gale_facets_positions(K, m)) == want, (K, m)
+            assert list(_gale_masks(K, m)) == want, (K, m)
 
 
 def test_cyclic_stretch_is_neighborly():
@@ -308,9 +310,10 @@ def test_lex_subdivision_builds_one_complex(monkeypatch):
     class Counting(SimplicialComplex):
         __slots__ = ()
 
-        def __init__(self, facets):
+        @classmethod
+        def _of(cls, labels, masks):
             built.append(1)
-            super().__init__(facets)
+            return super()._of(labels, masks)
 
     monkeypatch.setattr(cons, "SimplicialComplex", Counting)
     lex_subdivision(MWSpec(2, 4, 9), 5)
@@ -364,3 +367,112 @@ def test_diamond_stream_validates():
         next(diamonds(2, 5, 9))  # d < 2k+2
     with pytest.raises(ValueError):
         next(diamonds(1, 6, 5))  # n < d
+
+
+# -- the mask engine against label-built references ------------------------------
+#
+# Every builder makes int facet masks; the references below are written on
+# label sets only, straight from the rules in the module docstring.
+
+
+def maximal(sets):
+    sets = {frozenset(f) for f in sets}
+    return {f for f in sets if not any(f < g for g in sets)}
+
+
+def assert_matches(c, want):
+    """``c`` round-trips through its label view, which holds the maximal sets of ``want``."""
+    assert SimplicialComplex(c.facets) == c
+    assert c.facets == (maximal(want) or {frozenset()})
+    assert c.vertices == tuple(sorted(set().union(*c.facets)))
+
+
+def suffix_reference(spec, start):
+    """Label facets of the polytope on the vertex order with the first ``start`` dropped."""
+    m = spec.m if isinstance(spec, CyclicSpec) else spec.c_count
+    cells = {
+        frozenset(cvert(p + start) for p in S)
+        for S in combinations(range(1, m - start + 1), spec.K)
+        if inner_odd_count(S, m - start) == 0
+    }
+    if isinstance(spec, CyclicSpec):
+        return cells
+    x, T = cvert(m), frozenset(spec.t_labels)
+    return {T | (S - {x}) for S in cells if x in S} | {(T - {t}) | S for S in cells if x not in S for t in T}
+
+
+def lex_reference(spec, a):
+    """Push c1 .. c_(a-1), then pull c_a, on label sets."""
+    cells, cur = [], suffix_reference(spec, 0)
+    for s in range(1, a):
+        nxt = suffix_reference(spec, s)
+        cells += [F | {cvert(s)} for F in nxt - cur]
+        cur = nxt
+    return cells + [F | {cvert(a)} for F in cur if cvert(a) not in F]
+
+
+def assert_operations_match(c, rng):
+    """link, ball_boundary, relabel and contract_edge against their rules written on label sets."""
+    facets = c.facets
+    face = rng.choice(sorted(facets, key=sorted))
+    face = frozenset(rng.sample(sorted(face), rng.randrange(len(face) + 1)))
+    assert_matches(c.link(face), {f - face for f in facets if face <= f})
+    ridges = Counter(f - {v} for f in facets for v in f)
+    assert_matches(ball_boundary(c), {r for r, n in ridges.items() if n == 1})
+    names = list(c.vertices)
+    rng.shuffle(names)
+    mapping = dict(zip(c.vertices, names))
+    assert_matches(c.relabel(mapping), {frozenset(mapping[v] for v in f) for f in facets})
+    edges = [sorted(f) for f in facets if len(f) > 1]
+    if edges:
+        u, v = rng.sample(rng.choice(edges), 2)
+        try:
+            contracted = c.contract_edge(u, v)
+        except LinkConditionError:
+            return
+        assert_matches(contracted, {(f - {v}) | {u} if v in f else f for f in facets})
+
+
+@settings(max_examples=30, deadline=None)
+@given(stn.integers(1, 6), stn.integers(2, 10), stn.integers(1, 4), stn.integers(0, 3), stn.randoms())
+def test_cyclic_mw_and_lex_masks_match_label_references(K, m, D_extra, N_extra, rng):
+    specs = []
+    if K < m:
+        specs.append(CyclicSpec(K, m))
+    specs.append(MWSpec(min(K, 5), min(K, 5) + D_extra - 1, min(K, 5) + D_extra + N_extra))
+    for spec in specs:
+        rim = cyclic_facets(spec.K, spec.m) if isinstance(spec, CyclicSpec) else mw_boundary(spec)
+        assert_matches(rim, suffix_reference(spec, 0))
+        assert_operations_match(rim, rng)
+        for a, ball in lex_subdivisions(spec):
+            assert_matches(ball, lex_reference(spec, a))
+            assert_operations_match(ball, rng)
+        if isinstance(spec, MWSpec):
+            for a, cyclic_lex in lex_subdivisions(CyclicSpec(spec.K, spec.c_count)):
+                assert_matches(lex_mw_from_cyclic(spec, cyclic_lex), lex_reference(spec, a))
+
+
+@settings(max_examples=25, deadline=None)
+@given(stn.integers(1, 2), stn.integers(0, 2), stn.integers(0, 3), stn.randoms())
+def test_diamond_masks_match_label_references(k, d_extra, n_extra, rng):
+    d = 2 * k + 2 + d_extra
+    for spec, rim, ball, dia in diamonds(k, d, d + n_extra):
+        base = spec.base
+        rim_ref = suffix_reference(base, 0)
+        assert_matches(rim, rim_ref)
+        assert_matches(ball, lex_reference(base, spec.a))
+        assert_matches(dia, set(lex_reference(base, spec.a)) | {f | {APEX} for f in rim_ref})
+        assert_operations_match(dia, rng)
+
+
+def test_glue_with_t1_one_bit_too_high_fails_the_mask_check(monkeypatch):
+    """Negative control: T moved one bit up leaves x's bit empty and runs past the labels."""
+    glue = cons._glue
+
+    def one_too_high(c_cells, x, t_count):
+        return [f >> x << (x + 1) | f & ((1 << x) - 1) for f in glue(c_cells, x, t_count)]
+
+    monkeypatch.setattr(cons, "_glue", one_too_high)
+    assert cyclic_facets(2, 6).facets == maximal(suffix_reference(CyclicSpec(2, 6), 0))
+    with pytest.raises(ValueError, match=r"^a facet mask has bits past the 7 labels$"):
+        mw_boundary(MWSpec(2, 4, 7))

@@ -3,11 +3,12 @@
 The predicted face lists live purely on the cyclic factor's linear vertex
 order (wraparound adjacency is never consecutive): missing faces are spaced
 position sets and stacked facets are sets that pair up as (p, p+1), each
-generated directly and recognized by one predicate.  Both brute-force oracles
-read one scan of the explicit diamond boundary's small minimal non-faces.
-The incompatibility witness pins down one facet of a stacked triangulation
-that cannot be classified in the neighboring diamond, which is what blocks
-any global cubical stacked subdivision.
+generated directly; these lists are the patterns' only encoding, and
+`classify_face` looks a face up in them.  Both brute-force oracles read one
+scan of the explicit diamond boundary's small minimal non-faces.  The
+incompatibility witness pins down one facet of a stacked triangulation that
+cannot be classified in the neighboring diamond, which is what blocks any
+global cubical stacked subdivision.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .complexes import APEX, Label, SimplicialComplex, cvert, label_str
 from .constructions import DiamondSpec
@@ -98,16 +99,6 @@ def _spaced(r: int, top: int) -> Iterator[tuple[int, ...]]:
         yield tuple(p + j for j, p in enumerate(c))
 
 
-def _isolated(pos: Sequence[int]) -> bool:
-    """No two of the sorted positions are consecutive."""
-    return all(q - p >= 2 for p, q in zip(pos, pos[1:]))
-
-
-def _paired(pos: Sequence[int]) -> bool:
-    """The sorted positions pair up as (p, p+1) from the left: every block is even."""
-    return len(pos) % 2 == 0 and all(q == p + 1 for p, q in zip(pos[::2], pos[1::2]))
-
-
 def predicted_missing_faces(k: int, d: int, n: int, a: int) -> list[ClassifiedFace]:
     """Minimal non-faces of the a-th diamond, by the block characterization.
 
@@ -168,16 +159,19 @@ def predicted_stacked_facets(k: int, d: int, n: int, a: int) -> list[ClassifiedF
     Type I: apex + a 2k-set of cyclic vertices below x in even blocks + all
     of T.  Type II: v_a + such a 2k-set lying entirely above v_a + all of T.
     Every facet has exactly d vertices.  A 2k-set in even blocks is k pairs
-    (p, p+1), one for each p of a spaced k-set of starts below x - 1.
+    (p, p+1), one for each p of a spaced k-set of starts below x - 1.  Type I
+    comes first; within a type the facets are in lex order of their sorted
+    vertices, which is the lex order of their starts.
     """
     m, tset = _layout(k, d, n, a)
-    out = []
+    apex_t, va_t = tset | {APEX}, tset | {cvert(a)}
+    type_i, type_ii = [], []
     for starts in _spaced(k, m - 2):
-        verts = frozenset(cvert(p + i) for p in starts for i in (0, 1)) | tset
-        out.append(ClassifiedFace(verts | {APEX}, FACET_I))
+        pairs = frozenset(cvert(p + i) for p in starts for i in (0, 1))
+        type_i.append(ClassifiedFace(pairs | apex_t, FACET_I))
         if starts[0] > a:
-            out.append(ClassifiedFace(verts | {cvert(a)}, FACET_II))
-    return sorted(out, key=lambda cf: (cf.tag, sorted(cf.vertices)))
+            type_ii.append(ClassifiedFace(pairs | va_t, FACET_II))
+    return type_i + type_ii
 
 
 def oracle_stacked_facets(
@@ -210,25 +204,14 @@ def oracle_stacked_facets(
 
 
 def classify_face(face: Iterable[Label], k: int, d: int, n: int, a: int) -> str:
-    """Classify a vertex subset against the four predicted patterns for D_a."""
-    m, tset = _layout(k, d, n, a)
+    """The tag of the predicted face of D_a that equals ``face``, or UNCLASSIFIED.
+
+    Stacked facets have d vertices and missing faces k+1 or k+2, with
+    d >= 2k+4, so the face's size picks the one list that can hold it.
+    """
     fs = frozenset(face)
-    has_apex = APEX in fs
-    t_part = fs & tset
-    c_kind = cvert(1)[0]
-    c = sorted(idx for (kind, idx) in fs if kind == c_kind)
-    # a stray label, no cyclic vertex, or the gluing vertex x: no pattern fits
-    if fs - tset - {APEX} - {cvert(i) for i in c} or not c or c[-1] >= m:
-        return UNCLASSIFIED
-    if not t_part:
-        if len(c) == k + 1 and _isolated(c) and has_apex == (c[0] == a):
-            return MISSING_1 if has_apex else MISSING_2
-    elif t_part == tset:
-        if has_apex and len(c) == 2 * k and _paired(c):
-            return FACET_I
-        if not has_apex and len(c) == 2 * k + 1 and c[0] == a and _paired(c[1:]):
-            return FACET_II
-    return UNCLASSIFIED
+    predicted = predicted_stacked_facets if len(fs) == d else predicted_missing_faces
+    return next((cf.tag for cf in predicted(k, d, n, a) if cf.vertices == fs), UNCLASSIFIED)
 
 
 def incompatibility_witness(k: int, d: int, n: int) -> IncompatibilityWitness:
@@ -236,9 +219,9 @@ def incompatibility_witness(k: int, d: int, n: int) -> IncompatibilityWitness:
 
     Takes the sign vector with a single leading plus (diamond index a = 1),
     flips that coordinate to land in the diamond with index b = n-d+1 > a,
-    and picks the lexicographically smallest type II facet: v_a, the
-    following 2k consecutive cyclic vertices, and all of T.  The face is
-    type II in the a-th diamond yet matches neither facet type in the b-th.
+    and picks D_a's lexicographically smallest type II facet, tag included:
+    c1 … c(2k+1), that is v_a and the following 2k cyclic vertices, and all
+    of T.  The face must match neither facet type in D_b.
     """
     _layout(k, d, n, 1)  # checks k, d, n; the index a = 1 exists for every n >= d
     if n == d:
@@ -247,17 +230,13 @@ def incompatibility_witness(k: int, d: int, n: int) -> IncompatibilityWitness:
     a = diamond_index_of_sign_vector(sigma, n, d)
     flipped = "-" + sigma[1:]
     b = diamond_index_of_sign_vector(flipped, n, d)
-    candidates = [
-        cf.vertices for cf in predicted_stacked_facets(k, d, n, a) if cf.tag == FACET_II
-    ]
-    face = min(candidates, key=lambda f: sorted(f))
-    tag_a = classify_face(face, k, d, n, a)
-    tag_b = classify_face(face, k, d, n, b)
-    if tag_a != FACET_II or tag_b != UNCLASSIFIED:
+    picked = next(cf for cf in predicted_stacked_facets(k, d, n, a) if cf.tag == FACET_II)
+    tag_b = classify_face(picked.vertices, k, d, n, b)
+    if tag_b != UNCLASSIFIED:
         raise AssertionError(
-            f"witness construction failed for (k={k}, d={d}, n={n}): {tag_a}, {tag_b}"
+            f"witness construction failed for (k={k}, d={d}, n={n}): {picked.tag}, {tag_b}"
         )
-    return IncompatibilityWitness(k, d, n, sigma, a, b, face, tag_a, tag_b)
+    return IncompatibilityWitness(k, d, n, sigma, a, b, picked.vertices, picked.tag, tag_b)
 
 
 # -- the cube-graph rigidity fact ---------------------------------------------

@@ -149,11 +149,10 @@ def test_fvec_reads_stdin_for_a_dash(capsys, monkeypatch):
     assert out.encode() == (GOLDEN.parent / "fvec_cyclic_K4_m10.json").read_bytes()
 
 
-@pytest.mark.parametrize("grid_args", [["--grid", "full"]], ids=["full"])
-def test_verify_output_is_golden(grid_args):
+def test_verify_output_is_golden():
     """stdout, byte for byte, as committed in tests/golden."""
     done = subprocess.run(
-        [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", *grid_args],
+        [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", "--grid", "full"],
         capture_output=True, env={"PYTHONPATH": SRC},
     )
     assert done.returncode == 0

@@ -216,33 +216,6 @@ def test_lex_commute_small_grid():
             assert lex_subdivision(spec, a) == lex_mw_from_cyclic(spec, cyclic_lex), (spec, a)
 
 
-def _lex_by_relabeling(spec, a):
-    """Lex_a by the push/pull loop, each suffix polytope built from scratch.
-
-    Dropping the first `start` vertices of C(K, m) or MW(K, D, N) leaves
-    C(K, m - start) or MW(K, D, N - start) with c_i renamed c_(i + start).
-    """
-    cyclic = isinstance(spec, CyclicSpec)
-    c_top = spec.m if cyclic else spec.c_count
-
-    def suffix(start):
-        if cyclic:
-            poly = cyclic_facets(spec.K, spec.m - start)
-        else:
-            poly = mw_boundary(MWSpec(spec.K, spec.D, spec.N - start))
-        shift = {cvert(i): cvert(i + start) for i in range(1, c_top - start + 1)}
-        return set(poly.relabel(shift).facets)
-
-    cells = []
-    cur = suffix(0)
-    for s in range(1, a):
-        nxt = suffix(s)
-        cells.extend(F | {cvert(s)} for F in nxt - cur)
-        cur = nxt
-    cells.extend(F | {cvert(a)} for F in cur if cvert(a) not in F)
-    return SimplicialComplex(cells)
-
-
 def _stream_specs():
     """Every cyclic spec with K <= 6, m <= 12 and every MW base of the full diamond grid."""
     out = [CyclicSpec(K, m) for K in range(1, 7) for m in range(K + 1, 13)]
@@ -259,7 +232,7 @@ def test_lex_stream_matches_single_builds():
         got = list(lex_subdivisions(spec))
         assert [a for a, _ in got] == list(range(1, amax + 1)), spec
         for a, ball in got:
-            assert ball == lex_subdivision(spec, a) == _lex_by_relabeling(spec, a), (spec, a)
+            assert ball == lex_subdivision(spec, a) == SimplicialComplex(lex_reference(spec, a)), (spec, a)
             cases += 1
     assert cases == 523
 

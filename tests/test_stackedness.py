@@ -65,6 +65,17 @@ def test_predicted_facets_169_a1_count():
     assert all(len(cf.vertices) == 6 for cf in faces)
 
 
+def test_predicted_facets_come_sorted_by_type_then_vertices():
+    # the generator emits this order without sorting; the CLI prints it and
+    # the witness takes the first type II entry as the smallest
+    for k in range(1, 4):
+        for d in range(2 * k + 4, 13):
+            for n in range(d, 17):
+                for a in range(1, n - d + 2):
+                    faces = predicted_stacked_facets(k, d, n, a)
+                    assert faces == sorted(faces, key=lambda cf: (cf.tag, sorted(cf.vertices))), (k, d, n, a)
+
+
 def literal_oracle(complex_, d, k):
     """The stacked-facet criterion read literally, as the reference.
 
@@ -143,27 +154,6 @@ def test_classify_face():
     # faces through x or with stray labels never classify
     assert classify_face(cset(2, 6), 1, 6, 9, 2) == UNCLASSIFIED
     assert classify_face({plain(1)} | cset(2, 4), 1, 6, 9, 2) == UNCLASSIFIED
-
-
-def test_classify_face_recognizes_exactly_the_generated_faces():
-    # every subset of the sizes the predicted faces have, over the diamond's
-    # vertices, a stray label and the gluing vertex x (not a diamond vertex),
-    # gets its generated tag or none
-    for k, d, top in ((1, 6, 9), (2, 8, 10)):
-        for n in range(d, top + 1):
-            for spec, _, _, dia in diamonds(k, d, n):
-                a = spec.a
-                predicted = predicted_missing_faces(k, d, n, a) + predicted_stacked_facets(k, d, n, a)
-                want = {cf.vertices: cf.tag for cf in predicted}
-                assert len(want) == len(predicted)
-                support = dia.vertices + (cvert(spec.base.c_count), plain(1))
-                hits = 0
-                for size in (k + 1, k + 2, d):
-                    for S in combinations(support, size):
-                        tag = classify_face(S, k, d, n, a)
-                        assert tag == want.get(frozenset(S), UNCLASSIFIED), (k, d, n, a, S)
-                        hits += tag != UNCLASSIFIED
-                assert hits == len(want), (k, d, n, a)
 
 
 def test_witness_169():

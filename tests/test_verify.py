@@ -213,6 +213,24 @@ def test_dropped_missing_face_fails_only_the_missing_check(monkeypatch):
     )
 
 
+def test_a_witness_face_listed_in_diamond_b_fails_the_witness(monkeypatch):
+    """Negative control: the witness is judged in diamond b by b's generated
+    list, so listing the (1, 6, 9) face there as type II must fail it."""
+    predicted = st.predicted_stacked_facets
+    face = frozenset([cx.cvert(1), cx.cvert(2), cx.cvert(3), cx.tvert(1), cx.tvert(2), cx.tvert(3)])
+
+    def also_the_witness(k, d, n, a):
+        out = predicted(k, d, n, a)
+        return out + [st.ClassifiedFace(face, st.FACET_II)] if (k, d, n, a) == (1, 6, 9, 4) else out
+
+    monkeypatch.setattr(st, "predicted_stacked_facets", also_the_witness)
+    why = "witness construction failed for (k=1, d=6, n=9): facet-II, facet-II"
+    with pytest.raises(AssertionError, match=re.escape(why)):
+        st.incompatibility_witness(1, 6, 9)
+    r = verify.check_stack_witness()
+    assert r.failures == [f"raised AssertionError: {why}"]
+
+
 def test_verify_streams_the_diamonds_in_one_place():
     """A new per-diamond check extends the walk instead of adding a stream."""
     tree = ast.parse(Path(verify.__file__).read_text())

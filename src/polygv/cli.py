@@ -311,8 +311,9 @@ def cmd_stackedness(args: argparse.Namespace) -> int:
         obj["witness"] = None
         print("stackedness: n == d leaves a single diamond, no witness", file=sys.stderr)
     _emit(_json_dumps(obj), args.out)
+    witness = obj["witness"]
     agree = all(d["missing_agree"] and d["facets_agree"] for d in diamonds)
-    return 0 if agree else 1
+    return 0 if agree and (witness is None or witness["face_type_in_b"] == st.UNCLASSIFIED) else 1
 
 
 # -- verify ------------------------------------------------------------------------
@@ -413,8 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"polygv: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
-        # a library cross-check failed (routes disagree, or no witness):
-        # a verification failure, not bad input
+        # gc_q's route check failed: a verification failure, not bad input
         print(f"polygv: {exc}", file=sys.stderr)
         return 1
 

@@ -322,7 +322,7 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return (
             f"SimplicialComplex(dim={self.dim}, vertices={len(self._vertices)}, "
-            f"facets={len(self.facets)})"
+            f"facets={len(self._masks)})"
         )
 
 

@@ -172,8 +172,9 @@ def blind_specs() -> list[tuple[int, int]]:
 class Diamond(vec.Record):
     """One diamond of the walk and what it shares with its layer."""
 
-    __slots__ = ("spec", "rim", "ball", "cyclic_lex", "dia", "previous", "h_lk")
+    __slots__ = ("spec", "base", "rim", "ball", "cyclic_lex", "dia", "previous", "h_lk")
     spec: cons.DiamondSpec
+    base: cons.MWSpec  # the layer's MW base, built once per layer
     rim: cx.SimplicialComplex
     ball: cx.SimplicialComplex
     cyclic_lex: cx.SimplicialComplex  # Lex_a of the base's cyclic factor
@@ -202,7 +203,7 @@ def diamond_grid() -> Iterator[Diamond]:
                 ):
                     if spec.a == 1:
                         h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), d - 3).entries
-                    yield Diamond(spec, rim, ball, cyclic_lex, dia, previous, h_lk)
+                    yield Diamond(spec, base, rim, ball, cyclic_lex, dia, previous, h_lk)
                     layer.append(dia)
                 previous = tuple(layer)
 
@@ -434,7 +435,7 @@ def _plus_t(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def _expect_lex(r: CheckResult, diamond: Diamond) -> None:
     """Both routes give the same ball, and the ball has the rim as its boundary."""
-    base, rim, ball, at = diamond.spec.base, diamond.rim, diamond.ball, str(diamond.spec)
+    base, rim, ball, at = diamond.base, diamond.rim, diamond.ball, str(diamond.spec)
     r.expect(
         ball == cons.lex_mw_from_cyclic(base, diamond.cyclic_lex),
         f"{at}: cyclic-factor route differs from push/pull route",
@@ -478,9 +479,10 @@ def _expect_contraction(r: CheckResult, diamond: Diamond) -> None:
         r.expect(refused, f"{at}: contraction succeeded where the link condition fails")
         return
     contracted = dia.contract_edge(cx.cvert(1), cx.APEX)
-    m = spec.base.c_count
+    # c_m is the swallowed vertex x, which no diamond has
+    m = diamond.base.c_count
     relabeled = contracted.relabel(
-        {cx.cvert(1): cx.APEX, **{cx.cvert(i): cx.cvert(i - 1) for i in range(2, m + 1)}}
+        {cx.cvert(1): cx.APEX, **{cx.cvert(i): cx.cvert(i - 1) for i in range(2, m)}}
     )
     r.expect(relabeled == diamond.previous[spec.a - 2], f"{at}: contraction is not the previous diamond")
     h_dia = vec.f_to_h(dia.f_vector(), spec.d - 1).entries
@@ -726,8 +728,9 @@ def check_stack_named_examples(r: CheckResult) -> None:
     w = st.incompatibility_witness(1, 6, 9)
     expect(w.sigma == "+" + "-" * 8 and w.a == 1 and w.b == 4, "witness indices (1,6,9)")
     expect(w.face == cset(1, 2, 3) | tset, "witness face (1,6,9)")
-    expect(w.face_type_in_a == st.FACET_II and w.face_type_in_b == st.UNCLASSIFIED, "witness tags")
-    expect(st.incompatibility_witness(2, 8, 12) is not None, "witness (2,8,12)")
+    expect(w.face_type_in_b == st.UNCLASSIFIED, f"witness face is {w.face_type_in_b} in D_b (1,6,9)")
+    tag = st.incompatibility_witness(2, 8, 12).face_type_in_b
+    expect(tag == st.UNCLASSIFIED, f"witness face is {tag} in D_b (2,8,12)")
     r.raises(lambda: st.incompatibility_witness(1, 6, 6), "witness produced with n=d")
 
 
@@ -767,11 +770,8 @@ def check_stack_witness(r: CheckResult) -> None:
     for k in (1, 2):
         for d in range(2 * k + 4, Q_D + 1):
             for n in range(d + 1, Q_N + 1):
-                w = st.incompatibility_witness(k, d, n)
-                r.expect(
-                    w.a < w.b and w.face_type_in_a == st.FACET_II and w.face_type_in_b == st.UNCLASSIFIED,
-                    f"witness invalid at (k={k}, d={d}, n={n})",
-                )
+                tag = st.incompatibility_witness(k, d, n).face_type_in_b
+                r.expect(tag == st.UNCLASSIFIED, f"witness face is {tag} in D_b at (k={k}, d={d}, n={n})")
 
 
 @check("stackedness", "cube subgraphs are faces")

@@ -94,6 +94,22 @@ def test_stackedness_n_equal_to_d_has_one_diamond_and_no_witness(capsys):
     assert obj["witness"] is None and len(obj["diamonds"]) == 1
 
 
+def test_a_classified_witness_prints_the_json_and_exits_1(capsys, monkeypatch):
+    from polygv import stackedness as st
+
+    classify = st.classify_face
+
+    def listed_in_b(face, k, d, n, a):
+        return st.FACET_II if (k, d, n, a) == (1, 6, 9, 4) else classify(face, k, d, n, a)
+
+    monkeypatch.setattr(st, "classify_face", listed_in_b)
+    code, out, err = run_cli(capsys, "stackedness", "--k", "1", "--d", "6", "--n", "9")
+    assert (code, err) == (1, "")
+    obj = json.loads(out)
+    assert obj["witness"]["face_type_in_b"] == "facet-II"
+    assert all(d["missing_agree"] and d["facets_agree"] for d in obj["diamonds"])
+
+
 CYCLIC_IN = str(GOLDEN.parent / "construct_cyclic_K4_m10.json")
 CUBE_IN = str(GOLDEN.parent / "input_cube_d3_f.json")
 Q_ARGS = ["q-report", "--k", "1", "--d", "6", "--n", "9"]

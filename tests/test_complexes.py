@@ -95,6 +95,13 @@ def test_link_builds_no_closure():
     assert dia._faces is None
 
 
+def test_repr_counts_facets_without_the_label_view():
+    dia = diamond_boundary(DiamondSpec(1, 6, 9, 2))
+    assert repr(dia) == "SimplicialComplex(dim=4, vertices=9, facets=22)"
+    assert "facets" not in dia._memos
+    assert len(dia.facets) == 22
+
+
 def test_contract_four_cycle_to_triangle():
     tri = FOUR_CYCLE.contract_edge(plain(1), plain(2))
     assert tri.dim == 1

@@ -66,14 +66,18 @@ def test_predicted_facets_169_a1_count():
 
 
 def test_predicted_facets_come_sorted_by_type_then_vertices():
-    # the generator emits this order without sorting; the CLI prints it and
-    # the witness takes the first type II entry as the smallest
+    # the generators emit these orders without sorting: stacked facets by
+    # type, missing faces by size (type 2 first), each then by vertices; the
+    # CLI prints them and the witness takes the first type II entry as the smallest
     for k in range(1, 4):
         for d in range(2 * k + 4, 13):
             for n in range(d, 17):
                 for a in range(1, n - d + 2):
                     faces = predicted_stacked_facets(k, d, n, a)
                     assert faces == sorted(faces, key=lambda cf: (cf.tag, sorted(cf.vertices))), (k, d, n, a)
+                    missing = predicted_missing_faces(k, d, n, a)
+                    by_size = sorted(missing, key=lambda cf: (len(cf.vertices), sorted(cf.vertices)))
+                    assert missing == by_size, (k, d, n, a)
 
 
 def literal_oracle(complex_, d, k):

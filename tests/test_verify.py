@@ -41,6 +41,7 @@ MISSING, FACETS = (
     "stackedness: predicted vs oracle stacked facets",
 )
 WALK_LINES = (LEX, RELATIONS, CONTRACTION, MISSING, FACETS)
+WITNESS = "stackedness: incompatibility witness on the grid"
 IDENTITY, CERTIFICATE = (
     "qvectors: closing binomial identity",
     "qvectors: g^c_(k+2) = 0 for every n (certificate, k <= 30)",
@@ -213,22 +214,37 @@ def test_dropped_missing_face_fails_only_the_missing_check(monkeypatch):
     )
 
 
-def test_a_witness_face_listed_in_diamond_b_fails_the_witness(monkeypatch):
-    """Negative control: the witness is judged in diamond b by b's generated
-    list, so listing the (1, 6, 9) face there as type II must fail it."""
+def _list_the_witness_face_in_b(monkeypatch, *specs):
+    """List the witness face of each (k, d, n) as type II in its diamond b."""
     predicted = st.predicted_stacked_facets
-    face = frozenset([cx.cvert(1), cx.cvert(2), cx.cvert(3), cx.tvert(1), cx.tvert(2), cx.tvert(3)])
+    listed = {}
+    for k, d, n in specs:
+        w = st.incompatibility_witness(k, d, n)
+        listed[k, d, n, w.b] = [st.ClassifiedFace(w.face, st.FACET_II)]
+    monkeypatch.setattr(
+        st, "predicted_stacked_facets", lambda k, d, n, a: predicted(k, d, n, a) + listed.get((k, d, n, a), [])
+    )
 
-    def also_the_witness(k, d, n, a):
-        out = predicted(k, d, n, a)
-        return out + [st.ClassifiedFace(face, st.FACET_II)] if (k, d, n, a) == (1, 6, 9, 4) else out
 
-    monkeypatch.setattr(st, "predicted_stacked_facets", also_the_witness)
-    why = "witness construction failed for (k=1, d=6, n=9): facet-II, facet-II"
-    with pytest.raises(AssertionError, match=re.escape(why)):
-        st.incompatibility_witness(1, 6, 9)
+def test_a_witness_face_listed_in_diamond_b_fails_the_witness(monkeypatch):
+    """Negative control: the witness reports b's tag from b's generated list,
+    so listing the (1, 6, 9) face there as type II must fail the line once."""
+    _list_the_witness_face_in_b(monkeypatch, (1, 6, 9))
+    w = st.incompatibility_witness(1, 6, 9)
+    assert (w.b, w.face_type_in_b) == (4, st.FACET_II)
     r = verify.check_stack_witness()
-    assert r.failures == [f"raised AssertionError: {why}"]
+    assert r.cases == CASES[WITNESS]
+    assert r.failures == ["witness face is facet-II in D_b at (k=1, d=6, n=9)"]
+
+
+def test_two_witness_faults_are_two_failures_of_one_line(monkeypatch):
+    """Each (k, d, n) is one case, so a fault does not end the line."""
+    _list_the_witness_face_in_b(monkeypatch, (1, 6, 9), (2, 8, 12))
+    r = verify.check_stack_witness()
+    assert r.detail == (
+        f"2 of {CASES[WITNESS]} cases failed: witness face is facet-II in D_b at (k=1, d=6, n=9); "
+        "witness face is facet-II in D_b at (k=2, d=8, n=12)"
+    )
 
 
 def test_verify_streams_the_diamonds_in_one_place():
@@ -508,7 +524,7 @@ def test_a_raising_check_is_a_fail_line_not_an_abort(monkeypatch, capsys):
         RELATIONS: f"1 of 13 cases failed: {raised[0]}",
         CONTRACTION: f"1 of 3 cases failed: {raised[0]}",
         "stackedness: named examples": f"1 of 10 cases failed: {raised[1]}",
-        "stackedness: incompatibility witness on the grid": f"1 of 1 cases failed: {raised[1]}",
+        WITNESS: f"1 of 1 cases failed: {raised[1]}",
     })
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "lex_range",
     "diamond_boundary",
     "diamonds",
-    "diamond_g_closed",
     "ball_boundary",
 ]
 
@@ -323,24 +322,6 @@ def diamonds(
     rim = mw_boundary(base)
     for a, ball in lex_subdivisions(base):
         yield DiamondSpec(k, d, n, a), rim, ball, _cap(ball, rim)
-
-
-def diamond_g_closed(k: int, d: int, n: int, a: int) -> GVector:
-    """Closed-form g-vector of the a-th diamond over the (k, d, n) MW base.
-
-    Entries are mchoose(n-d, i) through index k, then mchoose(n-d-a+1, k)
-    at index k+1 when that index exists, then zero.
-    """
-    DiamondSpec(k, d, n, a)
-    out = []
-    for i in range((d - 1) // 2 + 1):
-        if i <= k:
-            out.append(mchoose(n - d, i))
-        elif i == k + 1:
-            out.append(mchoose(n - d - a + 1, k))
-        else:
-            out.append(0)
-    return GVector(tuple(out))
 
 
 def ball_boundary(ball: SimplicialComplex) -> SimplicialComplex:

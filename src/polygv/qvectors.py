@@ -17,7 +17,6 @@ from functools import cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .constructions import diamond_g_closed, diamonds
 from .vectors import (
     CubicalG,
     GVector,
@@ -48,6 +47,7 @@ __all__ = [
     "gc_q_closed",
     "gc_q",
     "full_hsc_q",
+    "diamond_g_closed",
     "BinomialIdentityResult",
     "binomial_identity_check",
     "RayRow",
@@ -172,6 +172,9 @@ def gsc_q_from_complexes(spec: QSpec) -> ShortCubicalG:
     Materializes every diamond boundary, one at a time from a single diamond
     stream, so keep the spec small.
     """
+    # imported here: only this route builds complexes, so the closed forms never load the builders
+    from .constructions import diamonds
+
     d = spec.d
     rows = (
         (dspec.a, h_to_g(f_to_h(dia.f_vector(), d - 1)).entries)
@@ -208,6 +211,26 @@ def gc_q(spec: QSpec) -> CubicalG:
     if a != b:
         raise AssertionError(f"gc routes disagree for {spec}: {a} vs {b}")
     return b
+
+
+def diamond_g_closed(k: int, d: int, n: int, a: int) -> GVector:
+    """Closed-form g-vector of the a-th diamond over the (k, d, n) MW base.
+
+    Entries are mchoose(n-d, i) through index k, then mchoose(n-d-a+1, k)
+    at index k+1 when that index exists, then zero.
+    """
+    QSpec(k, d, n)
+    if not 1 <= a <= n - d + 1:
+        raise ValueError(f"diamond index a={a} outside 1..{n - d + 1}")
+    out = []
+    for i in range((d - 1) // 2 + 1):
+        if i <= k:
+            out.append(mchoose(n - d, i))
+        elif i == k + 1:
+            out.append(mchoose(n - d - a + 1, k))
+        else:
+            out.append(0)
+    return GVector(tuple(out))
 
 
 @cache

@@ -388,7 +388,7 @@ def test_cli_suite_choices_are_the_verify_suites():
 
 BASE_MODULES = ["cli", "complexes", "vectors"]
 CONS_MODULES = sorted(BASE_MODULES + ["constructions"])
-Q_MODULES = sorted(CONS_MODULES + ["qvectors"])
+Q_MODULES = ["cli", "qvectors", "vectors"]
 
 
 @pytest.mark.parametrize(
@@ -401,7 +401,8 @@ Q_MODULES = sorted(CONS_MODULES + ["qvectors"])
         (["gvec", "--in", "diamond.json"], BASE_MODULES),
         (["q-report", "--k", "1", "--d", "6", "--n", "9", "--format", "json"], Q_MODULES),
         (["ray", "--k", "1", "--d", "6", "--n-from", "7", "--n-to", "30"], Q_MODULES),
-        (["stackedness", "--k", "1", "--d", "6", "--n", "9"], sorted(Q_MODULES + ["stackedness"])),
+        (["stackedness", "--k", "1", "--d", "6", "--n", "9"],
+         sorted(CONS_MODULES + ["qvectors", "stackedness"])),
         (["verify", "--suite", "all"], ALL_MODULES),
     ],
     ids=["construct-diamond", "construct-cyclic", "fvec", "gvec", "q-report", "ray",
@@ -424,6 +425,25 @@ def test_each_subcommand_runs_only_the_modules_it_calls(tmp_path, argv, ran):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{[f'polygv.{m}' for m in ran]}\n"
+
+
+def test_the_q_module_loads_no_builder_and_the_verify_parent_no_fractions():
+    """`import polygv.qvectors` loads neither the complex engine nor its builders;
+    `verify --suite all` runs `fractions` only in its forked child."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "import polygv.qvectors\n"
+        "print(sorted({'polygv.complexes', 'polygv.constructions'} & set(sys.modules)))\n"
+        "from polygv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--suite', 'all']) == 0\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": SRC},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize(

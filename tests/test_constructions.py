@@ -15,7 +15,6 @@ from polygv.constructions import (
     cyclic_facets,
     cyclic_is_face,
     diamond_boundary,
-    diamond_g_closed,
     diamonds,
     lex_mw_from_cyclic,
     lex_range,
@@ -24,6 +23,7 @@ from polygv.constructions import (
     mw_boundary,
     mw_g_closed,
 )
+from polygv.qvectors import diamond_g_closed
 from polygv.vectors import f_to_h, h_to_g, mchoose
 
 

@@ -1,7 +1,8 @@
 """Every Python file of the package and its tests parses as Python 3.10,
 the oldest version that pyproject.toml and the CI matrix claim, each
 library module's `__all__` lists exactly what it defines for public use,
-and only the verify tests call verify's checks."""
+each library module loads only the sibling modules it runs at load, and
+only the verify tests call verify's checks."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,37 @@ def test_all_names_every_public_definition(module):
     assert exported is not None
     assert sorted(public - set(exported)) == []
     assert sorted(set(exported) - defined) == []
+
+
+def _load_time_siblings(node):
+    """Sibling modules a module's body imports as it runs: relative imports
+    outside function bodies and `if TYPE_CHECKING:` blocks."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return set()
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+        return set().union(*map(_load_time_siblings, node.orelse))
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        return {node.module} if node.module else {a.name for a in node.names}
+    return set().union(*map(_load_time_siblings, ast.iter_child_nodes(node)))
+
+
+# library module -> the sibling modules its body imports at load
+LOAD_TIME_SIBLINGS = {
+    "vectors": [],
+    "complexes": ["vectors"],
+    "constructions": ["complexes", "vectors"],
+    "qvectors": ["vectors"],
+    "stackedness": ["complexes", "constructions", "qvectors", "vectors"],
+    "verify": ["complexes", "constructions", "qvectors", "stackedness", "vectors"],
+}
+
+
+@pytest.mark.parametrize("module", LOAD_TIME_SIBLINGS)
+def test_each_module_loads_only_the_siblings_it_runs(module):
+    """The module graph follows the call graph: the Q closed forms load no
+    complex engine, and route C imports its builders when it builds."""
+    tree = ast.parse((ROOT / "src" / "polygv" / f"{module}.py").read_text(encoding="utf-8"))
+    assert sorted(_load_time_siblings(tree)) == LOAD_TIME_SIBLINGS[module]
 
 
 def _verify_check_uses(tree):

@@ -46,6 +46,7 @@ IDENTITY, CERTIFICATE = (
     "qvectors: closing binomial identity",
     "qvectors: g^c_(k+2) = 0 for every n (certificate, k <= 30)",
 )
+ROUTE_C = "qvectors: explicit-complex route"
 ELEMENTARY, GLUED = (
     "qvectors: elementary cubical family",
     "qvectors: two d-cubes glued along a facet give the k = 1 elementary g^c",
@@ -79,7 +80,7 @@ def _no_child_left():
 
 def test_wrong_closed_form_fails_only_the_relation_check(monkeypatch):
     bad = cons.DiamondSpec(2, 8, 11, 3)
-    closed = cons.diamond_g_closed
+    closed = qv.diamond_g_closed
 
     def wrong_at_one(k, d, n, a):
         g = closed(k, d, n, a)
@@ -87,7 +88,7 @@ def test_wrong_closed_form_fails_only_the_relation_check(monkeypatch):
             return GVector(g.entries[:-1] + (g.entries[-1] + 1,))
         return g
 
-    monkeypatch.setattr(cons, "diamond_g_closed", wrong_at_one)
+    monkeypatch.setattr(qv, "diamond_g_closed", wrong_at_one)
     results = _by_name(verify.check_diamond_grid())
     assert results[LEX].passed and results[LEX].detail == f"{CASES[LEX]} cases"
     assert results[CONTRACTION].passed and results[CONTRACTION].detail == f"{CASES[CONTRACTION]} cases"
@@ -350,12 +351,31 @@ WALKING = ("all", "constructions", "stackedness")
 SUITES = ["all", *verify.SUITES]
 
 
+def _route_c_layers(monkeypatch):
+    """The (k, d, n) of each spec that the explicit-complex route compares, in order."""
+    specs = []
+    monkeypatch.setattr(qv, "gsc_q_from_complexes", lambda spec: specs.append(spec) or qv.gsc_q_closed(spec))
+    verify.check_q_route_c()
+    return [(spec.k, spec.d, spec.n) for spec in specs]
+
+
 @pytest.mark.parametrize("suite", SUITES)
-def test_one_diamond_walk_per_run(verify_run, suite):
-    """Every per-diamond check of a run reads one walk: each layer is streamed once, or never."""
+def test_one_diamond_walk_per_run(verify_run, monkeypatch, suite):
+    """Every per-diamond check of a run reads one walk: each layer is streamed once, or never.
+
+    Route C streams its own layers, in the process that runs the qvectors
+    plain checks: that is this one for `--suite qvectors`, and the forked
+    child, which the counter does not see, for `--suite all`.
+    """
     run = verify_run(suite)
     assert run.code == 0
-    assert len(run.layers) == len(set(run.layers)) == (LAYERS if suite in WALKING else 0)
+    if suite in WALKING:
+        assert len(run.layers) == len(set(run.layers)) == LAYERS
+    elif suite == "qvectors":
+        want = _route_c_layers(monkeypatch)
+        assert run.layers == want and len(set(want)) == CASES[ROUTE_C]
+    else:
+        assert run.layers == []
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -8,21 +8,22 @@ For each workload that ROOT/BENCHMARK.json declares, this runs
 ROOT (default: this repository), unchanged and untraced, and reads
 the result JSON from the last line of its stdout, then times one tier-1 run,
 ``python -m pytest -q -p no:cacheprovider`` in ROOT with ``PYTHONPATH=src``.
-It appends one point to OUT: the checkout's commit (``-dirty`` when its
-working tree differs from it), a digest of its ``src/`` tree, the Python
-version, the CPU count, whether bytecode caching was off (PYTHONDONTWRITEBYTECODE
-set and no ``__pycache__`` under ``src/`` to read from), each workload's
-metrics, and the tier-1 seconds with its passed and failed counts (errors
-count as failed).  It exits 1 when a workload is incorrect or a tier-1 test
-fails.  A point never replaces an earlier one; compare points only when they
-were taken on the same machine.
+Every run is made with bytecode caching off: PYTHONDONTWRITEBYTECODE set, and
+the ``__pycache__`` directories under ROOT's ``src/`` and ``perfbench/``
+removed first, so that a point times the source and not bytecode left by an
+earlier run.  It appends one point to OUT: the checkout's commit (``-dirty``
+when its working tree differs from it), a digest of its ``src/`` tree, the
+Python version, the CPU count, whether bytecode caching was off
+(PYTHONDONTWRITEBYTECODE set and no ``__pycache__`` under ``src/``), each
+workload's metrics, and the tier-1 seconds with its passed and failed counts
+(errors count as failed).  It exits 1 when a workload is incorrect or a tier-1
+test fails.  A point never replaces an earlier one; compare points only when
+they were taken on the same machine.
 
 ``--against REV`` makes the point a paired comparison.  REV is checked out
 with ``git worktree add --detach`` into a temporary directory (local only, no
 fetch), which is removed again on every exit.  Each workload then runs N times
-(``--pairs``, default 10) in each tree, alternating which tree goes first, with
-bytecode caching off (PYTHONDONTWRITEBYTECODE set, and the ``__pycache__``
-directories under ROOT's ``src/`` and ``perfbench/`` removed first).  The
+(``--pairs``, default 10) in each tree, alternating which tree goes first.  The
 point's ``workloads`` then hold ROOT's medians, and its ``against`` key holds
 REV's commit and ``src/`` digest and, per workload and metric, both medians,
 REV's interquartile range and in how many pairs ROOT did better, in the
@@ -186,9 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.against is not None:
         # a terminated run still removes its worktree
         signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-        os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
-        for cache in [p for top in ("src", "perfbench") for p in (root / top).rglob("__pycache__")]:
-            shutil.rmtree(cache)
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+    for cache in [p for top in ("src", "perfbench") for p in (root / top).rglob("__pycache__")]:
+        shutil.rmtree(cache)
     point = {
         "commit": commit(root),
         "src_sha256": src_digest(root),

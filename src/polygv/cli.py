@@ -262,7 +262,12 @@ def cmd_ray(args: argparse.Namespace) -> int:
     qv.QSpec(args.k, args.d, args.n_from)  # the first row's parameter error, if any
     # the largest entries come with the largest n, so a failure shows at once
     for n in range(args.n_to, args.n_from - 1, -1):
-        _check_printable(qv.QSpec(args.k, args.d, n), _ray_row)
+        spec = qv.QSpec(args.k, args.d, n)
+        _check_printable(spec, _ray_row)
+        a, b = qv.gc_q_via_gsc(spec), qv.gc_q_closed(spec)
+        if a != b:
+            print(f"polygv: gc routes disagree for {spec}: {a} vs {b}", file=sys.stderr)
+            return 1
     rows = qv.ray_convergence_report(args.k, args.d, range(args.n_from, args.n_to + 1))
     for row in rows:
         if row.normalized is None:
@@ -413,10 +418,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"polygv: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        # gc_q's route check failed: a verification failure, not bad input
-        print(f"polygv: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ __all__ = [
     "gsc_q_from_complexes",
     "gc_q_via_gsc",
     "gc_q_closed",
-    "gc_q",
     "full_hsc_q",
     "diamond_g_closed",
     "BinomialIdentityResult",
@@ -204,15 +203,6 @@ def gc_q_closed(spec: QSpec) -> CubicalG:
     return CubicalG(d, tuple(out))
 
 
-def gc_q(spec: QSpec) -> CubicalG:
-    """Long cubical g-vector, with both routes cross-checked."""
-    a = gc_q_via_gsc(spec)
-    b = gc_q_closed(spec)
-    if a != b:
-        raise AssertionError(f"gc routes disagree for {spec}: {a} vs {b}")
-    return b
-
-
 def diamond_g_closed(k: int, d: int, n: int, a: int) -> GVector:
     """Closed-form g-vector of the a-th diamond over the (k, d, n) MW base.
 
@@ -305,7 +295,7 @@ def ray_convergence_report(k: int, d: int, n_values: Iterable[int]) -> list[RayR
     rows = []
     for n in sorted(set(n_values)):
         spec = QSpec(k, d, n)
-        gc = gc_q(spec)
+        gc = gc_q_closed(spec)
         tail = gc.entries[1:]
         denom = 2**n * mchoose(n - d, k)
         if denom == 0:

@@ -128,6 +128,8 @@ def check(suite: str, *names: str, per_diamond: bool = False):
 # The Q-polytope grid k <= Q_K, 2k+2 <= d <= Q_D, d <= n <= Q_N, shared by
 # every check that walks Q-specs, cubes or witnesses.
 Q_K, Q_D, Q_N = 3, 10, 14
+# diamond_grid's last layer, which keeps the walk in its time budget (ROADMAP item 2)
+WALK_N = 12
 
 
 def thread_count() -> int:
@@ -183,17 +185,17 @@ class Diamond(vec.Record):
 
 
 def diamond_grid() -> Iterator[Diamond]:
-    """Every diamond of the grid k <= 3, 2k+2 <= d <= 10, d <= n <= 12.
+    """Every diamond of the grid k <= Q_K, 2k+2 <= d <= Q_D, d <= n <= WALK_N.
 
     For each (k, d) the layers n = d, d+1, ... are streamed in order: one rim,
     one push chain on the base, one on its cyclic factor and one rim link per
     layer, each diamond capped once.  The contraction of (k, d, n, a) lands on
     (k, d, n-1, a-1), so only the previous layer's diamonds are kept.
     """
-    for k in range(1, 4):
-        for d in range(2 * k + 2, 11):
+    for k in range(1, Q_K + 1):
+        for d in range(2 * k + 2, Q_D + 1):
             previous: tuple[cx.SimplicialComplex, ...] = ()
-            for n in range(d, 13):
+            for n in range(d, WALK_N + 1):
                 layer = []
                 base = cons.DiamondSpec(k, d, n, 1).base
                 cyclic = cons.lex_subdivisions(cons.CyclicSpec(base.K, base.c_count))
@@ -521,9 +523,9 @@ def check_q_named_examples(r: CheckResult) -> None:
     expect(qv.gsc_q_closed(qv.QSpec(1, 6, 6)).entries == (64, 0, 0), "gsc (1,6,6)")
     expect(qv.gsc_q_closed(qv.QSpec(2, 6, 9)).entries == (512, 1536, 3072), "gsc (2,6,9)")
 
-    expect(qv.gc_q(qv.QSpec(1, 6, 9)).entries == (32, 448, 1088, 0), "gc (1,6,9)")
-    expect(qv.gc_q(qv.QSpec(1, 6, 6)).entries == (32, 0, 0, 0), "gc (1,6,6)")
-    expect(qv.gc_q(qv.QSpec(1, 8, 10)).entries == (128, 768, 1280, 0, 0), "gc (1,8,10)")
+    expect(qv.gc_q_closed(qv.QSpec(1, 6, 9)).entries == (32, 448, 1088, 0), "gc (1,6,9)")
+    expect(qv.gc_q_closed(qv.QSpec(1, 6, 6)).entries == (32, 0, 0, 0), "gc (1,6,6)")
+    expect(qv.gc_q_closed(qv.QSpec(1, 8, 10)).entries == (128, 768, 1280, 0, 0), "gc (1,8,10)")
 
     for (k, m, expected) in [(1, 0, 0), (1, 3, 17)]:
         identity = qv.binomial_identity_check(k, m)
@@ -538,6 +540,8 @@ def check_q_named_examples(r: CheckResult) -> None:
     degenerate = qv.ray_convergence_report(1, 6, [6])[0]
     expect(degenerate.normalized is None and degenerate.dominant_index is None, "ray degenerate row flagged")
     expect(qv.ray_convergence_report(2, 8, [40])[0].dominant_index == 3, "ray (2,8,40) dominant index")
+    spec = qv.QSpec(2, 8, 40)
+    expect(qv.gc_q_via_gsc(spec) == qv.gc_q_closed(spec), f"{spec}: gc routes disagree")
 
     expect(qv.blind_blind_gc(6, 2).entries[1:] == (48, 16, 0), "elementary (6,2)")
     expect(qv.blind_blind_gc(4, 1).entries[1:] == (8, 0), "elementary (4,1)")
@@ -612,8 +616,12 @@ def check_binomial_identity(r: CheckResult, cert: CheckResult) -> None:
 
 @check("qvectors", "dominant ray coordinate is monotone")
 def check_ray_monotonic(r: CheckResult) -> None:
+    """Route agreement of each ray row's g^c, then the dominant coordinate along each ray."""
     for k, d in [(1, 6), (1, 8), (2, 8), (2, 10), (3, 10)]:
-        values = [row.normalized[k] for row in qv.ray_convergence_report(k, d, range(d + 1, d + 25))]
+        rows = qv.ray_convergence_report(k, d, range(d + 1, d + 25))
+        for spec in (qv.QSpec(k, d, row.n) for row in rows):
+            r.expect(qv.gc_q_via_gsc(spec) == qv.gc_q_closed(spec), f"{spec}: gc routes disagree")
+        values = [row.normalized[k] for row in rows]
         at = f"(k={k}, d={d})"
         r.expect(all(a <= b for a, b in zip(values, values[1:])), f"dominant coordinate not monotone for {at}")
         r.expect(not values or values[-1] <= 1, f"dominant coordinate exceeds 1 for {at}")
@@ -652,7 +660,7 @@ def check_clbc(r: CheckResult) -> None:
 
     A case is a vector long enough to have a g^c_2 entry.
     """
-    items = [(f"Q(k={s.k},d={s.d},n={s.n})", qv.gc_q(s)) for s in q_specs()]
+    items = [(f"Q(k={s.k},d={s.d},n={s.n})", qv.gc_q_closed(s)) for s in q_specs()]
     items += [(f"blind_blind(d={d},k={k})", qv.blind_blind_gc(d, k)) for d, k in blind_specs()]
     for name, gc in items:
         if len(gc.entries) > 2:

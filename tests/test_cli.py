@@ -17,6 +17,8 @@ from polygv import cli, verify
 from polygv.cli import build_parser, main
 
 SRC = str(Path(polygv.__file__).resolve().parents[1])
+# the environment of every fresh-interpreter probe: no bytecode written under src/
+PROBE_ENV = {"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
 GOLDEN = Path(__file__).parent / "golden" / "verify_full.txt"
 
 
@@ -169,7 +171,7 @@ def test_verify_output_is_golden():
     """stdout, byte for byte, as committed in tests/golden."""
     done = subprocess.run(
         [sys.executable, "-m", "polygv.cli", "verify", "--suite", "all", "--grid", "full"],
-        capture_output=True, env={"PYTHONPATH": SRC},
+        capture_output=True, env=PROBE_ENV,
     )
     assert done.returncode == 0
     assert done.stdout == GOLDEN.read_bytes()
@@ -376,7 +378,7 @@ def test_cli_imports_only_the_standard_library():
     )
     done = subprocess.run(
         [sys.executable, "-c", _ran_modules(probe)], capture_output=True, text=True,
-        check=True, env={"PYTHONPATH": SRC},
+        check=True, env=PROBE_ENV,
     )
     ran = str([f"polygv.{m}" for m in ALL_MODULES])
     assert done.stdout.splitlines() == ["[]", "False", "[]", ran]
@@ -421,7 +423,7 @@ def test_each_subcommand_runs_only_the_modules_it_calls(tmp_path, argv, ran):
     )
     done = subprocess.run(
         [sys.executable, "-c", _ran_modules(probe)], capture_output=True, text=True,
-        cwd=tmp_path, env={"PYTHONPATH": SRC},
+        cwd=tmp_path, env=PROBE_ENV,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{[f'polygv.{m}' for m in ran]}\n"
@@ -440,7 +442,7 @@ def test_the_q_module_loads_no_builder_and_the_verify_parent_no_fractions():
         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": SRC},
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=PROBE_ENV,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]", "[]"]
@@ -466,7 +468,7 @@ def test_benchmark_traced_cli_call_exits_0(tmp_path, cli_args, traced):
     child = Path(SRC).parent / "perfbench" / "child.py"
     done = subprocess.run(
         [sys.executable, str(child), "--trace", str(summary), "cli", *cli_args],
-        capture_output=True, text=True, env={"PYTHONPATH": SRC}, timeout=300,
+        capture_output=True, text=True, env=PROBE_ENV, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     obj = json.loads(summary.read_text())
@@ -482,7 +484,7 @@ def test_package_import_loads_no_submodule():
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": SRC},
+        env=PROBE_ENV,
     )
     assert done.stdout == "[]\n"
 
@@ -494,7 +496,7 @@ def test_readme_cli_tour_runs(tmp_path):
     script = f'polygv() {{ "{sys.executable}" -m polygv.cli "$@"; }}\n' + tour
     done = subprocess.run(
         ["bash", "-e", "-c", script], cwd=tmp_path, capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": os.environ.get("PATH", "")},
+        env={**PROBE_ENV, "PATH": os.environ.get("PATH", "")},
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "ray_k2_d10.csv").read_text().startswith("k,d,n,")

@@ -9,7 +9,6 @@ from polygv.qvectors import (
     blind_blind_gc,
     diamond_index_of_sign_vector,
     full_hsc_q,
-    gc_q,
     gc_q_closed,
     gsc_q_closed,
     gsc_q_from_complexes,
@@ -89,7 +88,7 @@ def test_gsc_named_values(spec, want):
     ],
 )
 def test_gc_named_values(spec, want):
-    assert gc_q(spec).entries == want
+    assert gc_q_closed(spec).entries == want
 
 
 def test_route_c_stretch():

@@ -1,8 +1,9 @@
 """Every Python file of the package and its tests parses as Python 3.10,
 the oldest version that pyproject.toml and the CI matrix claim, each
 library module's `__all__` lists exactly what it defines for public use,
-each library module loads only the sibling modules it runs at load, and
-only the verify tests call verify's checks."""
+each library module loads only the sibling modules it runs at load, no
+library module raises or catches AssertionError, and only the verify tests
+call verify's checks."""
 
 import ast
 from pathlib import Path
@@ -69,6 +70,32 @@ def test_each_module_loads_only_the_siblings_it_runs(module):
     complex engine, and route C imports its builders when it builds."""
     tree = ast.parse((ROOT / "src" / "polygv" / f"{module}.py").read_text(encoding="utf-8"))
     assert sorted(_load_time_siblings(tree)) == LOAD_TIME_SIBLINGS[module]
+
+
+def _assertion_error_uses(tree):
+    """(line, what) of each `assert`, and each `raise` or `except` naming AssertionError."""
+    uses = []
+    for node in ast.walk(tree):
+        named = None
+        if isinstance(node, ast.Raise):
+            named = node.exc
+        elif isinstance(node, ast.ExceptHandler):
+            named = node.type
+        if isinstance(node, ast.Assert) or (named is not None and "AssertionError" in ast.unparse(named)):
+            uses.append((node.lineno, type(node).__name__))
+    return uses
+
+
+def test_no_module_gives_a_verdict_by_assertion_error():
+    """A library function reports and its caller judges, so `cli.main` maps
+    exceptions to exit 2 only and a failed comparison is a counted case."""
+    found = {
+        path.name: uses
+        for path in sorted((ROOT / "src" / "polygv").glob("*.py"))
+        for uses in [_assertion_error_uses(ast.parse(path.read_text(encoding="utf-8")))]
+        if uses
+    }
+    assert found == {}
 
 
 def _verify_check_uses(tree):

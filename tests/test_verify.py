@@ -47,6 +47,8 @@ IDENTITY, CERTIFICATE = (
     "qvectors: g^c_(k+2) = 0 for every n (certificate, k <= 30)",
 )
 ROUTE_C = "qvectors: explicit-complex route"
+Q_NAMED, RAY = "qvectors: named examples", "qvectors: dominant ray coordinate is monotone"
+RAYS = [(1, 6), (1, 8), (2, 8), (2, 10), (3, 10)]  # the (k, d) of each ray the ray line walks
 ELEMENTARY, GLUED = (
     "qvectors: elementary cubical family",
     "qvectors: two d-cubes glued along a facet give the k = 1 elementary g^c",
@@ -429,13 +431,13 @@ def test_a_failed_fork_runs_the_plain_checks_in_process(monkeypatch, capsys):
 
 def test_a_payload_larger_than_the_pipe_comes_back_whole(monkeypatch):
     """Over 64 KB of failure text: the pipe is read to its end before the child is reaped."""
-    gc_q = qv.gc_q
+    closed = qv.gc_q_closed
 
     def huge_negative(spec):
-        g = gc_q(spec)
+        g = closed(spec)
         return CubicalG(g.d, g.entries[:2] + (-(10 ** 1000),) + g.entries[3:])
 
-    monkeypatch.setattr(qv, "gc_q", huge_negative)
+    monkeypatch.setattr(qv, "gc_q_closed", huge_negative)
     want = verify.check_clbc()
     assert sum(map(len, want.failures)) > 64 * 1024
     got = {r.name: r for r in verify.run_suite("all")}[want.name]
@@ -511,18 +513,38 @@ def test_check_keeps_every_failure(monkeypatch):
 
 def test_clbc_names_every_violation(monkeypatch):
     bad = verify.q_specs()[:5]
-    gc_q = qv.gc_q
+    closed = qv.gc_q_closed
 
     def negative_on_bad(spec):
-        g = gc_q(spec)
+        g = closed(spec)
         if spec in bad:
             return CubicalG(g.d, g.entries[:2] + (-1,) + g.entries[3:])
         return g
 
-    monkeypatch.setattr(qv, "gc_q", negative_on_bad)
+    monkeypatch.setattr(qv, "gc_q_closed", negative_on_bad)
     r = verify.check_clbc()
     assert r.cases == CASES[r.name]
     assert r.failures == [f"Q(k={s.k},d={s.d},n={s.n}): g^c_2 = -1" for s in bad]
+
+
+def test_a_gc_fault_past_the_route_grid_fails_each_ray_row_it_reaches(monkeypatch):
+    """g^c off by one at n > Q_N only, where "route agreement" never looks: the
+    ray line fails once per row with n > Q_N, naming each, and the named
+    examples run every case, failing only the (2, 8, 40) comparison."""
+    closed = qv.gc_q_closed
+
+    def off_past_the_grid(spec):
+        g = closed(spec)
+        return CubicalG(g.d, (g.entries[0] + 1,) + g.entries[1:]) if spec.n > verify.Q_N else g
+
+    monkeypatch.setattr(qv, "gc_q_closed", off_past_the_grid)
+    results = {r.name: r for r in verify.run_suite("qvectors")}
+    ray, named = results.pop(RAY), results.pop(Q_NAMED)
+    rows = [qv.QSpec(k, d, n) for k, d in RAYS for n in range(d + 1, d + 25) if n > verify.Q_N]
+    assert len(rows) == 92
+    assert (ray.cases, ray.failures) == (CASES[RAY], [f"{spec}: gc routes disagree" for spec in rows])
+    assert (named.cases, named.failures) == (CASES[Q_NAMED], [f"{qv.QSpec(2, 8, 40)}: gc routes disagree"])
+    assert all(r.passed for r in results.values())
 
 
 def test_a_raising_check_is_a_fail_line_not_an_abort(monkeypatch, capsys):

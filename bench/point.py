@@ -1,11 +1,10 @@
 """Record one benchmark point: every workload of perfbench/run.py, run as a black box.
 
-    python3 bench/point.py --out BENCH_<n>.json [--root DIR] [--seconds S]
-                           [--against REV [--pairs N]]
+    python3 bench/point.py --out BENCH_<n>.json [--seconds S] [--against REV [--pairs N]]
 
-For each workload that ROOT/BENCHMARK.json declares, this runs
-``python3 perfbench/run.py --workload W --seconds S`` in the checkout
-ROOT (default: this repository), unchanged and untraced, and reads
+For each workload that BENCHMARK.json declares, this runs
+``python3 perfbench/run.py --workload W --seconds S`` in the checkout ROOT
+that holds this script, unchanged and untraced, and reads
 the result JSON from the last line of its stdout, then times one tier-1 run,
 ``python -m pytest -q -p no:cacheprovider`` in ROOT with ``PYTHONPATH=src``.
 Every run is made with bytecode caching off: PYTHONDONTWRITEBYTECODE set, and
@@ -50,7 +49,7 @@ import time
 from pathlib import Path
 from typing import Iterator
 
-HERE = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def commit(root: Path) -> str:
@@ -173,39 +172,37 @@ def run_tier1(root: Path) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--root", type=Path, default=HERE)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--against", metavar="REV")
     parser.add_argument("--pairs", type=int)
     args = parser.parse_args(argv)
     if args.pairs is not None and (args.against is None or args.pairs < 1):
         parser.error("--pairs needs --against and must be at least 1")
-    root = args.root.resolve()
-    declared = json.loads((root / "BENCHMARK.json").read_text())
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"] if args.seconds is None else args.seconds
     workloads = [w["name"] for w in declared["workloads"]]
     if args.against is not None:
         # a terminated run still removes its worktree
         signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
-    for cache in [p for top in ("src", "perfbench") for p in (root / top).rglob("__pycache__")]:
+    for cache in [p for top in ("src", "perfbench") for p in (ROOT / top).rglob("__pycache__")]:
         shutil.rmtree(cache)
     point = {
-        "commit": commit(root),
-        "src_sha256": src_digest(root),
+        "commit": commit(ROOT),
+        "src_sha256": src_digest(ROOT),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "no_bytecode_cache": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
-        and not any((root / "src").rglob("__pycache__")),
+        and not any((ROOT / "src").rglob("__pycache__")),
         "seconds": seconds,
     }
     if args.against is None:
-        point["workloads"] = {name: run_workload(root, name, seconds) for name in workloads}
+        point["workloads"] = {name: run_workload(ROOT, name, seconds) for name in workloads}
     else:
         better = {m["name"]: m["better"] for m in declared["end_to_end"]}
         point["workloads"], point["against"] = run_against(
-            root, args.against, workloads, seconds, args.pairs or 10, better)
-    point["tier1"] = run_tier1(root)
+            ROOT, args.against, workloads, seconds, args.pairs or 10, better)
+    point["tier1"] = run_tier1(ROOT)
     points = json.loads(args.out.read_text())["points"] if args.out.exists() else []
     args.out.write_text(json.dumps({"points": points + [point]}, indent=2) + "\n")
     sides = [point["workloads"], point.get("against", {}).get("workloads", {})]

@@ -34,6 +34,7 @@ from .vectors import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from .complexes import SimplicialComplex
 
 __all__ = [
     "QSpec",
@@ -42,6 +43,7 @@ __all__ = [
     "diamond_index_of_sign_vector",
     "gsc_q_from_diamonds",
     "gsc_q_closed",
+    "gsc_q_sum_of_boundaries",
     "gsc_q_from_complexes",
     "gc_q_via_gsc",
     "gc_q_closed",
@@ -165,8 +167,16 @@ def gsc_q_closed(spec: QSpec) -> ShortCubicalG:
     return ShortCubicalG(spec.d, tuple(out))
 
 
+def gsc_q_sum_of_boundaries(spec: QSpec, boundaries: Iterable[SimplicialComplex]) -> ShortCubicalG:
+    """Route C's sum: the histogram-weighted g-vectors of the given diamond
+    boundaries of ``spec``, read as a = 1, 2, ... in order."""
+    d = spec.d
+    rows = ((a, h_to_g(f_to_h(dia.f_vector(), d - 1)).entries) for a, dia in enumerate(boundaries, 1))
+    return ShortCubicalG(d, _vertex_sum(spec, rows, (d - 1) // 2 + 1))
+
+
 def gsc_q_from_complexes(spec: QSpec) -> ShortCubicalG:
-    """Route C: histogram-weighted g-vectors of explicitly enumerated diamonds.
+    """Route C: ``gsc_q_sum_of_boundaries`` over the explicitly enumerated diamonds.
 
     Materializes every diamond boundary, one at a time from a single diamond
     stream, so keep the spec small.
@@ -174,12 +184,7 @@ def gsc_q_from_complexes(spec: QSpec) -> ShortCubicalG:
     # imported here: only this route builds complexes, so the closed forms never load the builders
     from .constructions import diamonds
 
-    d = spec.d
-    rows = (
-        (dspec.a, h_to_g(f_to_h(dia.f_vector(), d - 1)).entries)
-        for dspec, _, _, dia in diamonds(spec.k, d, spec.n)
-    )
-    return ShortCubicalG(d, _vertex_sum(spec, rows, (d - 1) // 2 + 1))
+    return gsc_q_sum_of_boundaries(spec, (dia for _, _, _, dia in diamonds(spec.k, spec.d, spec.n)))
 
 
 # -- long cubical g-vector of Q, two routes ----------------------------------

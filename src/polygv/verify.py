@@ -13,10 +13,10 @@ results into pass/fail lines and an exit code.
 A check registered with ``per_diamond=True`` takes one ``Diamond`` of
 ``diamond_grid()`` at a time.  All such checks of a run share one walk, so
 each grid diamond is built once per run.  The walk and the plain checks share
-nothing, so a run that selects both kinds, such as ``run_suite("all")``, runs
-its plain checks in one forked child while it walks, where ``os.fork`` exists
-and succeeds, and merges their results in registry order.  Work done in that
-child, a tracer's spans included, stays in the child.
+nothing, so a run that selects both kinds, "all" or any suite but transforms,
+runs its plain checks in one forked child while it walks, where ``os.fork``
+exists and succeeds, and merges their results in registry order.  Work done in
+that child, a tracer's spans included, stays in the child.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class CheckResult:
 # (suite, result names) -> check, in definition order.  Each value is also the
 # module attribute of its name; perfbench/tracer.py rebinds both to one timed
 # wrapper.  A traced run times the plain checks only when they run in its own
-# process: alone (transforms, qvectors) or where os.fork does not exist.  Beside
+# process: alone (transforms) or where os.fork does not exist.  Beside
 # a walk they run in a forked child, whose spans the tracer never sees, and the
 # per-diamond bodies run inside the walk, untimed.
 _Key = tuple[str, tuple[str, ...]]  # (suite, result names)
@@ -173,40 +173,38 @@ def blind_specs() -> list[tuple[int, int]]:
 class Diamond(vec.Record):
     """One diamond of the walk and what it shares with its layer."""
 
-    __slots__ = ("spec", "base", "rim", "ball", "cyclic_lex", "dia", "previous", "h_lk")
+    __slots__ = ("spec", "base", "rim", "ball", "cyclic_lex", "dia", "layer", "previous", "rim_link")
     spec: cons.DiamondSpec
     base: cons.MWSpec  # the layer's MW base, built once per layer
     rim: cx.SimplicialComplex
     ball: cx.SimplicialComplex
     cyclic_lex: cx.SimplicialComplex  # Lex_a of the base's cyclic factor
     dia: cx.SimplicialComplex
+    layer: tuple[cx.SimplicialComplex, ...]  # the diamonds of (k, d, n), a = 1, 2, ...
     previous: tuple[cx.SimplicialComplex, ...]  # the diamonds of (k, d, n-1), a = 1, 2, ...
-    h_lk: tuple[int, ...]  # the h-vector of the link of c1 in the layer's a = 1 rim
+    rim_link: cx.SimplicialComplex  # the link of c1 in the layer's rim, taken once per layer
 
 
 def diamond_grid() -> Iterator[Diamond]:
     """Every diamond of the grid k <= Q_K, 2k+2 <= d <= Q_D, d <= n <= WALK_N.
 
-    For each (k, d) the layers n = d, d+1, ... are streamed in order: one rim,
+    For each (k, d) the layers n = d, d+1, ... are built in order: one rim,
     one push chain on the base, one on its cyclic factor and one rim link per
-    layer, each diamond capped once.  The contraction of (k, d, n, a) lands on
+    layer, each diamond capped once.  A layer is built whole before its first
+    diamond is yielded.  The contraction of (k, d, n, a) lands on
     (k, d, n-1, a-1), so only the previous layer's diamonds are kept.
     """
     for k in range(1, Q_K + 1):
         for d in range(2 * k + 2, Q_D + 1):
             previous: tuple[cx.SimplicialComplex, ...] = ()
             for n in range(d, WALK_N + 1):
-                layer = []
                 base = cons.DiamondSpec(k, d, n, 1).base
-                cyclic = cons.lex_subdivisions(cons.CyclicSpec(base.K, base.c_count))
-                for (spec, rim, ball, dia), (_, cyclic_lex) in zip(
-                    cons.diamonds(k, d, n), cyclic, strict=True
-                ):
-                    if spec.a == 1:
-                        h_lk = vec.f_to_h(rim.link([cx.cvert(1)]).f_vector(), d - 3).entries
-                    yield Diamond(spec, base, rim, ball, cyclic_lex, dia, previous, h_lk)
-                    layer.append(dia)
-                previous = tuple(layer)
+                specs, rims, balls, layer = zip(*cons.diamonds(k, d, n))
+                cyclic = (lex for _, lex in cons.lex_subdivisions(cons.CyclicSpec(base.K, base.c_count)))
+                rim_link = rims[0].link([cx.cvert(1)])
+                for spec, rim, ball, dia, cyclic_lex in zip(specs, rims, balls, layer, cyclic, strict=True):
+                    yield Diamond(spec, base, rim, ball, cyclic_lex, dia, layer, previous, rim_link)
+                previous = layer
 
 
 # --------------------------------------------------------------------------
@@ -411,19 +409,14 @@ def check_mw_closed_form(r: CheckResult) -> None:
         r.expect(vec.h_to_g(h) == cons.mw_g_closed(spec), f"{at}: enumerated g differs from closed form")
 
 
-@check("constructions", "vertex link is the lower MW polytope")
-def check_mw_vertex_link(r: CheckResult) -> None:
-    """MW(2k, D, N) for k <= 2, D <= 7, N <= 11."""
-    for k in (1, 2):
-        for D in range(2 * k, 8):
-            for N in range(D + 1, 12):
-                spec = cons.MWSpec(2 * k, D, N)
-                link = cons.mw_boundary(spec).link([cx.cvert(1)])
-                shifted = link.relabel(
-                    {cx.cvert(i): cx.cvert(i - 1) for i in range(2, spec.c_count + 1)}
-                )
-                small = cons.mw_boundary(cons.MWSpec(2 * k - 1, D - 1, N - 1))
-                r.expect(shifted == small, f"vertex-link reduction fails at (2k={2*k}, D={D}, N={N})")
+@check("constructions", "vertex link is the lower MW polytope", per_diamond=True)
+def check_mw_vertex_link(diamond: Diamond, r: CheckResult) -> None:
+    """The c1-link of each layer's rim MW(2k, D, N), read at a = 1, is MW(2k-1, D-1, N-1)."""
+    base = diamond.base
+    if diamond.spec.a == 1:
+        shifted = diamond.rim_link.relabel({cx.cvert(i): cx.cvert(i - 1) for i in range(2, base.c_count + 1)})
+        small = cons.mw_boundary(cons.MWSpec(base.K - 1, base.D - 1, base.N - 1))
+        r.expect(shifted == small, f"vertex-link reduction fails at (2k={base.K}, D={base.D}, N={base.N})")
 
 
 def _plus_t(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -468,7 +461,8 @@ def _expect_contraction(r: CheckResult, diamond: Diamond) -> None:
 
     At a = 1 the link condition fails and the contraction must refuse.
     Otherwise it must land on the previous layer's diamond at a-1, with
-    h(D) = h(D/e) + t*h_lk.
+    h(D) = h(D/e) + t*h(lk c1): h(D/e) is read off that diamond, which the
+    landing case has just compared with D/e, and lk c1 is the layer's rim link.
     """
     spec, dia, at = diamond.spec, diamond.dia, str(diamond.spec)
     if spec.a == 1:
@@ -485,10 +479,12 @@ def _expect_contraction(r: CheckResult, diamond: Diamond) -> None:
     relabeled = contracted.relabel(
         {cx.cvert(1): cx.APEX, **{cx.cvert(i): cx.cvert(i - 1) for i in range(2, m)}}
     )
-    r.expect(relabeled == diamond.previous[spec.a - 2], f"{at}: contraction is not the previous diamond")
+    landed = diamond.previous[spec.a - 2]
+    r.expect(relabeled == landed, f"{at}: contraction is not the previous diamond")
     h_dia = vec.f_to_h(dia.f_vector(), spec.d - 1).entries
-    h_con = vec.f_to_h(contracted.f_vector(), spec.d - 1).entries
-    r.expect(h_dia == _plus_t(h_con, diamond.h_lk), f"{at}: h-polynomial contraction relation fails")
+    h_con = vec.f_to_h(landed.f_vector(), spec.d - 1).entries
+    h_lk = vec.f_to_h(diamond.rim_link.f_vector(), spec.d - 3).entries
+    r.expect(h_dia == _plus_t(h_con, h_lk), f"{at}: h-polynomial contraction relation fails")
 
 
 @check(
@@ -562,15 +558,13 @@ def check_q_routes(r: CheckResult) -> None:
         r.expect(vec.hc_to_gc(hc) == gc, f"{at}: full h^c disagrees with gc")
 
 
-@check("qvectors", "explicit-complex route")
-def check_q_route_c(r: CheckResult) -> None:
-    for d in (4, 6):
-        for n in range(d, d + 4):
-            spec = qv.QSpec(1, d, n)
-            r.expect(
-                qv.gsc_q_from_complexes(spec) == qv.gsc_q_closed(spec),
-                f"{spec}: complex route disagrees with closed form",
-            )
+@check("qvectors", "explicit-complex route", per_diamond=True)
+def check_q_route_c(diamond: Diamond, r: CheckResult) -> None:
+    """Route C's vertex sum over each walk layer's diamonds, read at a = 1."""
+    if diamond.spec.a == 1:
+        spec = qv.QSpec(diamond.spec.k, diamond.spec.d, diamond.spec.n)
+        got = qv.gsc_q_sum_of_boundaries(spec, diamond.layer)
+        r.expect(got == qv.gsc_q_closed(spec), f"{spec}: complex route disagrees with closed form")
 
 
 @check("qvectors", "vertex-figure histogram")

@@ -303,6 +303,19 @@ def test_missing_key_is_named(capsys, tmp_path, text, kind, want):
     assert err == f"polygv: {want}\n"
 
 
+def test_a_key_error_inside_a_command_propagates_out_of_main(monkeypatch):
+    """Every input reader raises ValueError for a missing key, so a KeyError is a
+    program fault: main lets it through rather than report it as bad input (exit 2)."""
+    import polygv.qvectors as qv
+
+    def lost(spec):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(qv, "gsc_q_closed", lost)
+    with pytest.raises(KeyError, match="lost"):
+        main(Q_ARGS)
+
+
 def test_route_disagreement_is_exit_1_without_traceback(capsys, monkeypatch):
     import polygv.qvectors as qv
     from polygv.vectors import CubicalG

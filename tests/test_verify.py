@@ -28,8 +28,10 @@ CASES = {
     m.group(1): int(m.group(2))
     for m in map(re.compile(r"PASS  (.*) \((\d+) cases\)").fullmatch, GOLDEN_LINES[:-1])
 }
-# the (k, d, n) layers of the diamond grid: k <= 3, 2k+2 <= d <= 10, d <= n <= 12
-LAYERS = 79
+# the (k, d, n) layers of the diamond grid, each streamed once per walk
+LAYERS = sum(
+    verify.WALK_N - d + 1 for k in range(1, verify.Q_K + 1) for d in range(2 * k + 2, verify.Q_D + 1)
+)
 
 LEX, RELATIONS, CONTRACTION = (
     "constructions: lexicographic subdivisions (both routes)",
@@ -40,7 +42,9 @@ MISSING, FACETS = (
     "stackedness: predicted vs brute missing faces",
     "stackedness: predicted vs oracle stacked facets",
 )
-WALK_LINES = (LEX, RELATIONS, CONTRACTION, MISSING, FACETS)
+# the result lines of the per-diamond checks, in registry order
+WALK_LINES = tuple(name for _, names in verify._PER_DIAMOND for name in names)
+VERTEX_LINK = "constructions: vertex link is the lower MW polytope"
 WITNESS = "stackedness: incompatibility witness on the grid"
 IDENTITY, CERTIFICATE = (
     "qvectors: closing binomial identity",
@@ -293,7 +297,7 @@ def test_a_raising_walk_fails_each_per_diamond_check_once(monkeypatch):
 
     monkeypatch.setattr(cons, "diamonds", broken_at_one)
     failed = {r.name: (r.cases, r.failures) for r in verify.run_suite("all") if not r.passed}
-    assert list(failed) == [LEX, RELATIONS, CONTRACTION, MISSING, FACETS]
+    assert list(failed) == list(WALK_LINES)
     assert all(failures == ["raised ValueError: no stream"] for _, failures in failed.values())
     # the stack grid had checked all its k = 1 diamonds before the walk broke
     assert failed[MISSING][0] == 61 and failed[FACETS][0] == 91
@@ -347,37 +351,61 @@ def test_no_process_outlives_a_run(monkeypatch, raised):
 
 # the suites with a per-diamond check: a run of one walks the diamond grid once
 # and forks once, so that its plain checks run in a child beside the walk
-WALKING = ("all", "constructions", "stackedness")
+WALKING = ("all", *dict.fromkeys(suite for suite, _ in verify._PER_DIAMOND))
 
 
 SUITES = ["all", *verify.SUITES]
 
 
-def _route_c_layers(monkeypatch):
-    """The (k, d, n) of each spec that the explicit-complex route compares, in order."""
-    specs = []
-    monkeypatch.setattr(qv, "gsc_q_from_complexes", lambda spec: specs.append(spec) or qv.gsc_q_closed(spec))
-    verify.check_q_route_c()
-    return [(spec.k, spec.d, spec.n) for spec in specs]
-
-
 @pytest.mark.parametrize("suite", SUITES)
-def test_one_diamond_walk_per_run(verify_run, monkeypatch, suite):
-    """Every per-diamond check of a run reads one walk: each layer is streamed once, or never.
-
-    Route C streams its own layers, in the process that runs the qvectors
-    plain checks: that is this one for `--suite qvectors`, and the forked
-    child, which the counter does not see, for `--suite all`.
-    """
+def test_one_diamond_walk_per_run(verify_run, suite):
+    """Every per-diamond check of a run reads one walk: each layer is streamed once, or never."""
     run = verify_run(suite)
     assert run.code == 0
-    if suite in WALKING:
-        assert len(run.layers) == len(set(run.layers)) == LAYERS
-    elif suite == "qvectors":
-        want = _route_c_layers(monkeypatch)
-        assert run.layers == want and len(set(want)) == CASES[ROUTE_C]
-    else:
-        assert run.layers == []
+    assert len(run.layers) == len(set(run.layers)) == (LAYERS if suite in WALKING else 0)
+
+
+def test_the_plain_checks_stream_no_diamond_layer(monkeypatch):
+    """Every diamond a plain check would need is the walk's: run in process, they stream none."""
+    layers = []
+    diamonds = cons.diamonds
+    monkeypatch.setattr(cons, "diamonds", lambda k, d, n: layers.append((k, d, n)) or diamonds(k, d, n))
+    for key, run in verify.CHECKS.items():
+        if key not in verify._PER_DIAMOND:
+            run()
+    assert layers == []
+
+
+def test_a_wrong_rim_link_fails_the_vertex_link_once(monkeypatch):
+    """The c1-link of the rim of layer (3, 9, 11) loses one facet: the line names that MW base."""
+    bad = cons.DiamondSpec(3, 9, 11, 1).base
+    bad_rim = cons.mw_boundary(bad)
+    link = cx.SimplicialComplex.link
+
+    def drop_one(self, face):
+        out = link(self, face)
+        return cx.SimplicialComplex(sorted(out.facets, key=sorted)[1:]) if self == bad_rim else out
+
+    monkeypatch.setattr(cx.SimplicialComplex, "link", drop_one)
+    r = verify.check_mw_vertex_link()
+    assert r.cases == CASES[VERTEX_LINK] == LAYERS
+    assert r.failures == [f"vertex-link reduction fails at (2k={bad.K}, D={bad.D}, N={bad.N})"]
+
+
+def test_a_wrong_route_c_sum_fails_only_the_explicit_complex_route(monkeypatch, capsys):
+    """Route C's vertex sum off by one at (3, 10, 12): its line fails once, naming that spec; the rest is golden."""
+    bad = qv.QSpec(3, 10, 12)
+    route_c = qv.gsc_q_sum_of_boundaries
+
+    def off_at_one(spec, boundaries):
+        g = route_c(spec, boundaries)
+        return ShortCubicalG(g.d, (g.entries[0] + (spec == bad),) + g.entries[1:])
+
+    monkeypatch.setattr(qv, "gsc_q_sum_of_boundaries", off_at_one)
+    assert CASES[ROUTE_C] == LAYERS
+    _assert_all_fails_with(capsys, {
+        ROUTE_C: f"1 of {LAYERS} cases failed: {bad}: complex route disagrees with closed form",
+    })
 
 
 @pytest.mark.parametrize("suite", SUITES)

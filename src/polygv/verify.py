@@ -10,13 +10,14 @@ and every failure is kept.  A body that raises records the exception as one
 failure on each of its results instead of ending the run.  The CLI turns the
 results into pass/fail lines and an exit code.
 
-A check registered with ``per_diamond=True`` takes one ``Diamond`` of
-``diamond_grid()`` at a time.  All such checks of a run share one walk, so
-each grid diamond is built once per run.  The walk and the plain checks share
-nothing, so a run that selects both kinds, "all" or any suite but transforms,
-runs its plain checks in one forked child while it walks, where ``os.fork``
-exists and succeeds, and merges their results in registry order.  Work done in
-that child, a tracer's spans included, stays in the child.
+A check registered with ``per_layer=True`` takes one ``Layer`` of
+``diamond_grid()`` at a time: the diamonds of one (k, d, n).  All such checks
+of a run share one walk, so each grid diamond is built once per run.  The walk
+and the plain checks share nothing, so a run that selects both kinds, "all" or
+any suite but transforms, runs its plain checks in one forked child while it
+walks, where ``os.fork`` exists and succeeds, and merges their results in
+registry order.  Work done in that child, a tracer's spans included, stays in
+the child.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ class CheckResult:
 # wrapper.  A traced run times the plain checks only when they run in its own
 # process: alone (transforms) or where os.fork does not exist.  Beside
 # a walk they run in a forked child, whose spans the tracer never sees, and the
-# per-diamond bodies run inside the walk, untimed.
+# per-layer bodies run inside the walk, untimed.
 _Key = tuple[str, tuple[str, ...]]  # (suite, result names)
 CHECKS: dict[_Key, Callable[[], CheckResult | list[CheckResult]]] = {}
-# The body of each check registered with per_diamond=True, by the same key.
-_PER_DIAMOND: dict[_Key, Callable[..., None]] = {}
+# The body of each check registered with per_layer=True, by the same key.
+_PER_LAYER: dict[_Key, Callable[..., None]] = {}
 
 
 def _fail(results: list[CheckResult], exc: Exception) -> None:
@@ -93,11 +94,11 @@ def _fail(results: list[CheckResult], exc: Exception) -> None:
         r.expect(False, f"raised {type(exc).__name__}: {exc}")
 
 
-def check(suite: str, *names: str, per_diamond: bool = False):
+def check(suite: str, *names: str, per_layer: bool = False):
     """Register the decorated body as a check of ``suite`` with one result per name.
 
-    The body takes one ``CheckResult`` per name; with ``per_diamond`` it takes
-    a ``Diamond`` first and gets each diamond of ``diamond_grid()`` in turn.
+    The body takes one ``CheckResult`` per name; with ``per_layer`` it takes
+    a ``Layer`` first and gets each layer of ``diamond_grid()`` in turn.
     The registered check takes no argument and returns its result, or its
     list of results when it has several names.  If the body raises, each
     result keeps what it counted and fails once more, naming the exception.
@@ -107,7 +108,7 @@ def check(suite: str, *names: str, per_diamond: bool = False):
     def register(body: Callable[..., None]):
         @functools.wraps(body)
         def run():
-            if per_diamond:
+            if per_layer:
                 results = _run([key])
             else:
                 results = [CheckResult(name) for name in key[1]]
@@ -118,8 +119,8 @@ def check(suite: str, *names: str, per_diamond: bool = False):
             return results if len(results) > 1 else results[0]
 
         CHECKS[key] = run
-        if per_diamond:
-            _PER_DIAMOND[key] = body
+        if per_layer:
+            _PER_LAYER[key] = body
         return run
 
     return register
@@ -135,7 +136,7 @@ WALK_N = 12
 def thread_count() -> int:
     """Threads per process the suites run on: always 1, every check is a plain loop.
 
-    A run that selects per-diamond and plain checks runs the plain ones in a
+    A run that selects per-layer and plain checks runs the plain ones in a
     second, forked process, on one thread too.  ``perfbench/child.py`` reports
     this value as ``verify.threads``.
     """
@@ -170,41 +171,33 @@ def blind_specs() -> list[tuple[int, int]]:
     return [(d, k) for d in range(2, 13) for k in range(1, d // 2 + 1)]
 
 
-class Diamond(vec.Record):
-    """One diamond of the walk and what it shares with its layer."""
+class Layer(vec.Record):
+    """The diamonds of one (k, d, n) and what they share; each tuple runs over a = 1, 2, ..."""
 
-    __slots__ = ("spec", "base", "rim", "ball", "cyclic_lex", "dia", "layer", "previous", "rim_link")
-    spec: cons.DiamondSpec
-    base: cons.MWSpec  # the layer's MW base, built once per layer
-    rim: cx.SimplicialComplex
-    ball: cx.SimplicialComplex
-    cyclic_lex: cx.SimplicialComplex  # Lex_a of the base's cyclic factor
-    dia: cx.SimplicialComplex
-    layer: tuple[cx.SimplicialComplex, ...]  # the diamonds of (k, d, n), a = 1, 2, ...
-    previous: tuple[cx.SimplicialComplex, ...]  # the diamonds of (k, d, n-1), a = 1, 2, ...
-    rim_link: cx.SimplicialComplex  # the link of c1 in the layer's rim, taken once per layer
+    __slots__ = ("specs", "base", "rim", "rim_link", "balls", "diamonds", "previous")
+    specs: tuple[cons.DiamondSpec, ...]
+    base: cons.MWSpec
+    rim: cx.SimplicialComplex  # the base's boundary, shared by every ball
+    rim_link: cx.SimplicialComplex  # the link of c1 in the rim
+    balls: tuple[cx.SimplicialComplex, ...]  # Lex_a of the base
+    diamonds: tuple[cx.SimplicialComplex, ...]
+    previous: tuple[cx.SimplicialComplex, ...]  # the diamonds of (k, d, n-1)
 
 
-def diamond_grid() -> Iterator[Diamond]:
-    """Every diamond of the grid k <= Q_K, 2k+2 <= d <= Q_D, d <= n <= WALK_N.
+def diamond_grid() -> Iterator[Layer]:
+    """Every layer (k, d, n) of the grid k <= Q_K, 2k+2 <= d <= Q_D, d <= n <= WALK_N.
 
-    For each (k, d) the layers n = d, d+1, ... are built in order: one rim,
-    one push chain on the base, one on its cyclic factor and one rim link per
-    layer, each diamond capped once.  A layer is built whole before its first
-    diamond is yielded.  The contraction of (k, d, n, a) lands on
-    (k, d, n-1, a-1), so only the previous layer's diamonds are kept.
+    For each (k, d) the layers n = d, d+1, ... are built in order, each from
+    one rim, one push chain on the base and one rim link, each diamond capped
+    once.  A layer carries the previous one's diamonds, where its contractions land.
     """
     for k in range(1, Q_K + 1):
         for d in range(2 * k + 2, Q_D + 1):
             previous: tuple[cx.SimplicialComplex, ...] = ()
             for n in range(d, WALK_N + 1):
-                base = cons.DiamondSpec(k, d, n, 1).base
-                specs, rims, balls, layer = zip(*cons.diamonds(k, d, n))
-                cyclic = (lex for _, lex in cons.lex_subdivisions(cons.CyclicSpec(base.K, base.c_count)))
-                rim_link = rims[0].link([cx.cvert(1)])
-                for spec, rim, ball, dia, cyclic_lex in zip(specs, rims, balls, layer, cyclic, strict=True):
-                    yield Diamond(spec, base, rim, ball, cyclic_lex, dia, layer, previous, rim_link)
-                previous = layer
+                specs, rims, balls, diamonds = zip(*cons.diamonds(k, d, n))
+                yield Layer(specs, specs[0].base, rims[0], rims[0].link([cx.cvert(1)]), balls, diamonds, previous)
+                previous = diamonds
 
 
 # --------------------------------------------------------------------------
@@ -409,14 +402,13 @@ def check_mw_closed_form(r: CheckResult) -> None:
         r.expect(vec.h_to_g(h) == cons.mw_g_closed(spec), f"{at}: enumerated g differs from closed form")
 
 
-@check("constructions", "vertex link is the lower MW polytope", per_diamond=True)
-def check_mw_vertex_link(diamond: Diamond, r: CheckResult) -> None:
-    """The c1-link of each layer's rim MW(2k, D, N), read at a = 1, is MW(2k-1, D-1, N-1)."""
-    base = diamond.base
-    if diamond.spec.a == 1:
-        shifted = diamond.rim_link.relabel({cx.cvert(i): cx.cvert(i - 1) for i in range(2, base.c_count + 1)})
-        small = cons.mw_boundary(cons.MWSpec(base.K - 1, base.D - 1, base.N - 1))
-        r.expect(shifted == small, f"vertex-link reduction fails at (2k={base.K}, D={base.D}, N={base.N})")
+@check("constructions", "vertex link is the lower MW polytope", per_layer=True)
+def check_mw_vertex_link(layer: Layer, r: CheckResult) -> None:
+    """The c1-link of each layer's rim MW(2k, D, N) is MW(2k-1, D-1, N-1)."""
+    base = layer.base
+    shifted = layer.rim_link.relabel({cx.cvert(i): cx.cvert(i - 1) for i in range(2, base.c_count + 1)})
+    small = cons.mw_boundary(cons.MWSpec(base.K - 1, base.D - 1, base.N - 1))
+    r.expect(shifted == small, f"vertex-link reduction fails at (2k={base.K}, D={base.D}, N={base.N})")
 
 
 def _plus_t(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -427,36 +419,39 @@ def _plus_t(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _expect_lex(r: CheckResult, diamond: Diamond) -> None:
+def _expect_lex(
+    r: CheckResult, layer: Layer, spec: cons.DiamondSpec, ball: cx.SimplicialComplex, cyclic_lex: cx.SimplicialComplex
+) -> None:
     """Both routes give the same ball, and the ball has the rim as its boundary."""
-    base, rim, ball, at = diamond.base, diamond.rim, diamond.ball, str(diamond.spec)
+    base, rim = layer.base, layer.rim
     r.expect(
-        ball == cons.lex_mw_from_cyclic(base, diamond.cyclic_lex),
-        f"{at}: cyclic-factor route differs from push/pull route",
+        ball == cons.lex_mw_from_cyclic(base, cyclic_lex),
+        f"{spec}: cyclic-factor route differs from push/pull route",
     )
-    r.expect(ball.is_pure() and ball.dim == base.D, f"{at}: subdivision is not pure of the base dimension")
-    r.expect(set(ball.vertices) == set(rim.vertices), f"{at}: subdivision does not use every vertex")
-    r.expect(cons.ball_boundary(ball) == rim, f"{at}: subdivision boundary differs from the base boundary")
+    r.expect(ball.is_pure() and ball.dim == base.D, f"{spec}: subdivision is not pure of the base dimension")
+    r.expect(set(ball.vertices) == set(rim.vertices), f"{spec}: subdivision does not use every vertex")
+    r.expect(cons.ball_boundary(ball) == rim, f"{spec}: subdivision boundary differs from the base boundary")
 
 
-def _expect_relations(r: CheckResult, diamond: Diamond) -> None:
+def _expect_relations(
+    r: CheckResult, layer: Layer, spec: cons.DiamondSpec, ball: cx.SimplicialComplex, dia: cx.SimplicialComplex
+) -> None:
     """The diamond is the ball capped by the apex cone over its rim: f(D) = f(B) + t*f(R)."""
-    spec, dia, at = diamond.spec, diamond.dia, str(diamond.spec)
-    r.expect(dia.is_pure() and dia.dim == spec.d - 2, f"{at}: boundary not a pure (d-2)-complex")
-    r.expect(dia.euler_characteristic() == 1 + (-1) ** (spec.d - 2), f"{at}: Euler relation fails")
+    r.expect(dia.is_pure() and dia.dim == spec.d - 2, f"{spec}: boundary not a pure (d-2)-complex")
+    r.expect(dia.euler_characteristic() == 1 + (-1) ** (spec.d - 2), f"{spec}: Euler relation fails")
     fd = dia.f_vector()
     r.expect(
-        fd.counts == _plus_t(diamond.ball.f_vector().counts, diamond.rim.f_vector().counts),
-        f"{at}: f-polynomial relation fails",
+        fd.counts == _plus_t(ball.f_vector().counts, layer.rim.f_vector().counts),
+        f"{spec}: f-polynomial relation fails",
     )
     got = vec.h_to_g(vec.f_to_h(fd, spec.d - 1))
     r.expect(
         got == qv.diamond_g_closed(spec.k, spec.d, spec.n, spec.a),
-        f"{at}: enumerated g differs from closed form",
+        f"{spec}: enumerated g differs from closed form",
     )
 
 
-def _expect_contraction(r: CheckResult, diamond: Diamond) -> None:
+def _expect_contraction(r: CheckResult, layer: Layer, spec: cons.DiamondSpec, dia: cx.SimplicialComplex) -> None:
     """Contract {c1, apex}.
 
     At a = 1 the link condition fails and the contraction must refuse.
@@ -464,27 +459,24 @@ def _expect_contraction(r: CheckResult, diamond: Diamond) -> None:
     h(D) = h(D/e) + t*h(lk c1): h(D/e) is read off that diamond, which the
     landing case has just compared with D/e, and lk c1 is the layer's rim link.
     """
-    spec, dia, at = diamond.spec, diamond.dia, str(diamond.spec)
     if spec.a == 1:
         try:
             dia.contract_edge(cx.cvert(1), cx.APEX)
             refused = False
         except cx.LinkConditionError:
             refused = True
-        r.expect(refused, f"{at}: contraction succeeded where the link condition fails")
+        r.expect(refused, f"{spec}: contraction succeeded where the link condition fails")
         return
     contracted = dia.contract_edge(cx.cvert(1), cx.APEX)
     # c_m is the swallowed vertex x, which no diamond has
-    m = diamond.base.c_count
-    relabeled = contracted.relabel(
-        {cx.cvert(1): cx.APEX, **{cx.cvert(i): cx.cvert(i - 1) for i in range(2, m)}}
-    )
-    landed = diamond.previous[spec.a - 2]
-    r.expect(relabeled == landed, f"{at}: contraction is not the previous diamond")
+    m = layer.base.c_count
+    relabeled = contracted.relabel({cx.cvert(1): cx.APEX, **{cx.cvert(i): cx.cvert(i - 1) for i in range(2, m)}})
+    landed = layer.previous[spec.a - 2]
+    r.expect(relabeled == landed, f"{spec}: contraction is not the previous diamond")
     h_dia = vec.f_to_h(dia.f_vector(), spec.d - 1).entries
     h_con = vec.f_to_h(landed.f_vector(), spec.d - 1).entries
-    h_lk = vec.f_to_h(diamond.rim_link.f_vector(), spec.d - 3).entries
-    r.expect(h_dia == _plus_t(h_con, h_lk), f"{at}: h-polynomial contraction relation fails")
+    h_lk = vec.f_to_h(layer.rim_link.f_vector(), spec.d - 3).entries
+    r.expect(h_dia == _plus_t(h_con, h_lk), f"{spec}: h-polynomial contraction relation fails")
 
 
 @check(
@@ -492,13 +484,19 @@ def _expect_contraction(r: CheckResult, diamond: Diamond) -> None:
     "lexicographic subdivisions (both routes)",
     "diamond f-relation and closed-form g",
     "edge contraction onto the previous diamond",
-    per_diamond=True,
+    per_layer=True,
 )
-def check_diamond_grid(diamond: Diamond, lex: CheckResult, rel: CheckResult, con: CheckResult) -> None:
-    """Lex subdivisions, diamond relations and contractions, each with its own result."""
-    _expect_lex(lex, diamond)
-    _expect_relations(rel, diamond)
-    _expect_contraction(con, diamond)
+def check_diamond_grid(layer: Layer, lex: CheckResult, rel: CheckResult, con: CheckResult) -> None:
+    """Lex subdivisions, diamond relations and contractions of each diamond, each with its own result.
+
+    The cyclic-factor route reads Lex_a of the base's cyclic factor, a = 1, 2, ..., from one push chain.
+    """
+    base = layer.base
+    cyclic = cons.lex_subdivisions(cons.CyclicSpec(base.K, base.c_count))
+    for spec, ball, dia, (_, cyclic_lex) in zip(layer.specs, layer.balls, layer.diamonds, cyclic, strict=True):
+        _expect_lex(lex, layer, spec, ball, cyclic_lex)
+        _expect_relations(rel, layer, spec, ball, dia)
+        _expect_contraction(con, layer, spec, dia)
 
 
 # --------------------------------------------------------------------------
@@ -558,13 +556,13 @@ def check_q_routes(r: CheckResult) -> None:
         r.expect(vec.hc_to_gc(hc) == gc, f"{at}: full h^c disagrees with gc")
 
 
-@check("qvectors", "explicit-complex route", per_diamond=True)
-def check_q_route_c(diamond: Diamond, r: CheckResult) -> None:
-    """Route C's vertex sum over each walk layer's diamonds, read at a = 1."""
-    if diamond.spec.a == 1:
-        spec = qv.QSpec(diamond.spec.k, diamond.spec.d, diamond.spec.n)
-        got = qv.gsc_q_sum_of_boundaries(spec, diamond.layer)
-        r.expect(got == qv.gsc_q_closed(spec), f"{spec}: complex route disagrees with closed form")
+@check("qvectors", "explicit-complex route", per_layer=True)
+def check_q_route_c(layer: Layer, r: CheckResult) -> None:
+    """Route C's vertex sum over each walk layer's diamonds."""
+    first = layer.specs[0]
+    spec = qv.QSpec(first.k, first.d, first.n)
+    got = qv.gsc_q_sum_of_boundaries(spec, layer.diamonds)
+    r.expect(got == qv.gsc_q_closed(spec), f"{spec}: complex route disagrees with closed form")
 
 
 @check("qvectors", "vertex-figure histogram")
@@ -736,35 +734,36 @@ def check_stack_named_examples(r: CheckResult) -> None:
     r.raises(lambda: st.incompatibility_witness(1, 6, 6), "witness produced with n=d")
 
 
-@check("stackedness", "predicted vs brute missing faces", "predicted vs oracle stacked facets", per_diamond=True)
-def check_stack_grid(diamond: Diamond, miss: CheckResult, fac: CheckResult) -> None:
-    """Missing faces and stacked facets of the walk's k = 1 diamonds with d in (6, 8), n <= d+4.
+@check("stackedness", "predicted vs brute missing faces", "predicted vs oracle stacked facets", per_layer=True)
+def check_stack_grid(layer: Layer, miss: CheckResult, fac: CheckResult) -> None:
+    """Missing faces and stacked facets of the walk's k = 1 layers with d in (6, 8), n <= d+4.
 
     A diamond's predicted missing faces are computed once and read by both
     checks, which each get their own result.
     """
-    k, d, n, a = diamond.spec.k, diamond.spec.d, diamond.spec.n, diamond.spec.a
-    if k != 1 or d not in (6, 8) or n > d + 4:
+    first = layer.specs[0]
+    if first.k != 1 or first.d not in (6, 8) or first.n > first.d + 4:
         return
-    dia = diamond.dia
-    at = f"(k={k}, d={d}, n={n}, a={a})"
-    missing = {cf.vertices for cf in st.predicted_missing_faces(k, d, n, a)}
-    brute = set(st.brute_missing_faces(dia, k + 2))
-    miss.expect(missing == brute, f"missing faces differ at {at}")
-    miss.expect(all(len(f) > k for f in brute), f"neighborliness violated at {at}")
-    predicted = {cf.vertices for cf in st.predicted_stacked_facets(k, d, n, a)}
-    oracle = set(st.oracle_stacked_facets(dia, d, k))
-    fac.expect(predicted == oracle, f"stacked facets differ at {at}")
-    fac.expect(
-        not any(m <= facet for facet in predicted for m in missing),
-        f"facet contains a missing face at {at}",
-    )
-    # a boundary face lies in an oracle facet when its facet does
-    covers = [dia._mask(o) for o in oracle]
-    fac.expect(
-        all(any(f & o == f for o in covers) for f in dia._masks),
-        f"boundary face not covered at {at}",
-    )
+    for spec, dia in zip(layer.specs, layer.diamonds):
+        k, d, n, a = spec.k, spec.d, spec.n, spec.a
+        at = f"(k={k}, d={d}, n={n}, a={a})"
+        missing = {cf.vertices for cf in st.predicted_missing_faces(k, d, n, a)}
+        brute = set(st.brute_missing_faces(dia, k + 2))
+        miss.expect(missing == brute, f"missing faces differ at {at}")
+        miss.expect(all(len(f) > k for f in brute), f"neighborliness violated at {at}")
+        predicted = {cf.vertices for cf in st.predicted_stacked_facets(k, d, n, a)}
+        oracle = set(st.oracle_stacked_facets(dia, d, k))
+        fac.expect(predicted == oracle, f"stacked facets differ at {at}")
+        fac.expect(
+            not any(m <= facet for facet in predicted for m in missing),
+            f"facet contains a missing face at {at}",
+        )
+        # a boundary face lies in an oracle facet when its facet does
+        covers = [dia._mask(o) for o in oracle]
+        fac.expect(
+            all(any(f & o == f for o in covers) for f in dia._masks),
+            f"boundary face not covered at {at}",
+        )
 
 
 @check("stackedness", "incompatibility witness on the grid")
@@ -795,17 +794,17 @@ SUITES: tuple[str, ...] = tuple(dict.fromkeys(suite for suite, _ in CHECKS))
 
 
 def _walk(walked: dict[_Key, list[CheckResult]]) -> None:
-    """Feed one walk of ``diamond_grid()`` to the per-diamond checks of ``walked``.
+    """Feed one walk of ``diamond_grid()`` to the per-layer checks of ``walked``.
 
-    A per-diamond body that raises fails as a plain check does and gets no
-    further diamond; if the walk itself raises, every body still running fails.
+    A per-layer body that raises fails as a plain check does and gets no
+    further layer; if the walk itself raises, every body still running fails.
     """
     live = list(walked)
     try:
-        for diamond in diamond_grid() if live else ():
+        for layer in diamond_grid() if live else ():
             for key in list(live):
                 try:
-                    _PER_DIAMOND[key](diamond, *walked[key])
+                    _PER_LAYER[key](layer, *walked[key])
                 except Exception as exc:
                     _fail(walked[key], exc)
                     live.remove(key)
@@ -869,7 +868,7 @@ def _tallies(keys: list[_Key], payload: bytes, status: int) -> list[CheckResult]
 
 
 def _run(keys: list[_Key]) -> list[CheckResult]:
-    """The results of the checks of ``keys``, in order; the per-diamond ones share one walk.
+    """The results of the checks of ``keys``, in order; the per-layer ones share one walk.
 
     When ``keys`` holds both kinds and ``os.fork`` exists, the plain checks run
     in one forked child while this process walks; if the fork fails, they run
@@ -878,7 +877,7 @@ def _run(keys: list[_Key]) -> list[CheckResult]:
     path: if the walk is interrupted, the pipe closes first and the child ends
     once its checks are done, its write failing or not.
     """
-    walked = {key: [CheckResult(name) for name in key[1]] for key in keys if key in _PER_DIAMOND}
+    walked = {key: [CheckResult(name) for name in key[1]] for key in keys if key in _PER_LAYER}
     plain = [key for key in keys if key not in walked]
     forked = _fork_plain(plain) if walked and plain and hasattr(os, "fork") else None
     if forked:

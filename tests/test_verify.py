@@ -42,8 +42,8 @@ MISSING, FACETS = (
     "stackedness: predicted vs brute missing faces",
     "stackedness: predicted vs oracle stacked facets",
 )
-# the result lines of the per-diamond checks, in registry order
-WALK_LINES = tuple(name for _, names in verify._PER_DIAMOND for name in names)
+# the result lines of the per-layer checks, in registry order
+WALK_LINES = tuple(name for _, names in verify._PER_LAYER for name in names)
 VERTEX_LINK = "constructions: vertex link is the lower MW polytope"
 WITNESS = "stackedness: incompatibility witness on the grid"
 IDENTITY, CERTIFICATE = (
@@ -126,10 +126,12 @@ def test_wrong_cyclic_route_fails_only_the_lex_check(monkeypatch):
 
 
 def test_dropped_rim_facet_fails_the_relations_it_feeds(monkeypatch):
-    """The rim of (1, 6, 9, a=1) loses one facet at c1.
+    """The rim that comes with (1, 6, 9, a=1) loses one facet at c1.
 
-    There the ball's boundary and the f-relation disagree with it.  The layer's
-    rim link of c1 comes from that rim, so the h-relation of every later a fails.
+    The walk reads one rim per layer, that one, so every diamond of (1, 6, 9)
+    sees the fault: each ball's boundary and each f-relation disagree with it.
+    The layer's rim link of c1 comes from that rim, so the h-relation of every
+    a > 1 fails.
     """
     bad = cons.DiamondSpec(1, 6, 9, 1)
     diamonds = cons.diamonds
@@ -143,11 +145,10 @@ def test_dropped_rim_facet_fails_the_relations_it_feeds(monkeypatch):
 
     monkeypatch.setattr(cons, "diamonds", drop_one)
     results = _by_name(verify.check_diamond_grid())
-    assert results[LEX].failures == [f"{bad}: subdivision boundary differs from the base boundary"]
-    assert results[RELATIONS].failures == [f"{bad}: f-polynomial relation fails"]
-    assert results[CONTRACTION].failures == [
-        f"{cons.DiamondSpec(1, 6, 9, a)}: h-polynomial contraction relation fails" for a in (2, 3, 4)
-    ]
+    layer = [cons.DiamondSpec(1, 6, 9, a) for a in (1, 2, 3, 4)]
+    assert results[LEX].failures == [f"{s}: subdivision boundary differs from the base boundary" for s in layer]
+    assert results[RELATIONS].failures == [f"{s}: f-polynomial relation fails" for s in layer]
+    assert results[CONTRACTION].failures == [f"{s}: h-polynomial contraction relation fails" for s in layer[1:]]
 
 
 def test_relabeled_contraction_fails_only_the_previous_diamond(monkeypatch):
@@ -255,7 +256,7 @@ def test_two_witness_faults_are_two_failures_of_one_line(monkeypatch):
 
 
 def test_verify_streams_the_diamonds_in_one_place():
-    """A new per-diamond check extends the walk instead of adding a stream."""
+    """A new per-layer check reads the walk's layers instead of adding a stream."""
     tree = ast.parse(Path(verify.__file__).read_text())
     calls = [
         node for node in ast.walk(tree)
@@ -267,8 +268,43 @@ def test_verify_streams_the_diamonds_in_one_place():
     assert len(calls) == 1
 
 
-def test_a_raising_per_diamond_body_stops_only_its_own_check(monkeypatch, capsys):
-    """The stack grid raises at (1, 8, 10, a=2) and gets no further diamond; the walk goes on."""
+def test_the_walk_yields_one_layer_per_k_d_n(monkeypatch):
+    """The walk yields each (k, d, n) once, in order, with its n - d + 1 diamonds
+    and the previous layer's; the vertex-link and route-C bodies run once per layer."""
+    grid = [
+        (k, d, n)
+        for k in range(1, verify.Q_K + 1)
+        for d in range(2 * k + 2, verify.Q_D + 1)
+        for n in range(d, verify.WALK_N + 1)
+    ]
+    assert len(grid) == LAYERS
+    walked = []
+    for layer in verify.diamond_grid():
+        k, d, n = layer.specs[0].k, layer.specs[0].d, layer.specs[0].n
+        walked.append((k, d, n))
+        assert isinstance(layer, verify.Layer)
+        assert layer.specs == tuple(cons.DiamondSpec(k, d, n, a) for a in range(1, n - d + 2))
+        assert layer.base == layer.specs[0].base
+        assert len(layer.balls) == len(layer.diamonds) == n - d + 1
+        if n == d:
+            assert layer.previous == ()
+        else:
+            assert layer.previous is before.diamonds
+        before = layer
+    assert walked == grid
+
+    runs = []
+    for key, body in list(verify._PER_LAYER.items()):
+        if key[1] in ((VERTEX_LINK,), (ROUTE_C,)):
+            monkeypatch.setitem(
+                verify._PER_LAYER, key, lambda layer, r, key=key, body=body: runs.append(key) or body(layer, r)
+            )
+    assert verify.check_mw_vertex_link().passed and verify.check_q_route_c().passed
+    assert len(runs) == 2 * LAYERS and len(set(runs)) == 2
+
+
+def test_a_raising_per_layer_body_stops_only_its_own_check(monkeypatch, capsys):
+    """The stack grid raises at (1, 8, 10, a=2) and gets no further diamond or layer; the walk goes on."""
     bad = cons.diamond_boundary(cons.DiamondSpec(1, 8, 10, 2))
     oracle = st.oracle_stacked_facets
 
@@ -286,7 +322,7 @@ def test_a_raising_per_diamond_body_stops_only_its_own_check(monkeypatch, capsys
     })
 
 
-def test_a_raising_walk_fails_each_per_diamond_check_once(monkeypatch):
+def test_a_raising_walk_fails_each_per_layer_check_once(monkeypatch):
     """The walk breaks at layer (2, 8, 11): the checks it feeds fail once each, the others pass."""
     diamonds = cons.diamonds
 
@@ -349,9 +385,11 @@ def test_no_process_outlives_a_run(monkeypatch, raised):
     _no_child_left()
 
 
-# the suites with a per-diamond check: a run of one walks the diamond grid once
+# the suites with a per-layer check: a run of one walks the diamond grid once
 # and forks once, so that its plain checks run in a child beside the walk
-WALKING = ("all", *dict.fromkeys(suite for suite, _ in verify._PER_DIAMOND))
+WALKING = ("all", *dict.fromkeys(suite for suite, _ in verify._PER_LAYER))
+# the suites of the lex check, the one reader of each layer's cyclic-factor push chain
+LEX_READERS = ("all", "constructions")
 
 
 SUITES = ["all", *verify.SUITES]
@@ -359,10 +397,14 @@ SUITES = ["all", *verify.SUITES]
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_one_diamond_walk_per_run(verify_run, suite):
-    """Every per-diamond check of a run reads one walk: each layer is streamed once, or never."""
+    """Every per-layer check of a run reads one walk: each layer is streamed once, or never.
+
+    Only the lex check runs the push chain of each layer's cyclic factor.
+    """
     run = verify_run(suite)
     assert run.code == 0
     assert len(run.layers) == len(set(run.layers)) == (LAYERS if suite in WALKING else 0)
+    assert len(run.cyclic_chains) == (LAYERS if suite in LEX_READERS else 0)
 
 
 def test_the_plain_checks_stream_no_diamond_layer(monkeypatch):
@@ -371,7 +413,7 @@ def test_the_plain_checks_stream_no_diamond_layer(monkeypatch):
     diamonds = cons.diamonds
     monkeypatch.setattr(cons, "diamonds", lambda k, d, n: layers.append((k, d, n)) or diamonds(k, d, n))
     for key, run in verify.CHECKS.items():
-        if key not in verify._PER_DIAMOND:
+        if key not in verify._PER_LAYER:
             run()
     assert layers == []
 
